@@ -34,6 +34,7 @@ the waveform for dynamics.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
@@ -50,6 +51,10 @@ HERMITICITY_TOL = 1e-12
 #: (18 us per step at the bundled 0.36 s duration, far below the fastest
 #: nutation period).
 DEFAULT_PULSE_STEPS = 20000
+
+#: Steps diagonalised and multiplied per batch in `propagate`; bounds the
+#: working memory to a few MB whatever the step count.
+_BLOCK_STEPS = 2048
 
 _SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -158,11 +163,18 @@ class PulseShape:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("max_amplitude", "duration", "offset_hz", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) != 21:
             raise ValueError(f"need exactly 21 coefficients, got {len(coeffs)}")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError("coefficients must be finite")
+        if not any(coeffs):
+            raise ValueError("coefficients must not all be zero (the profile has no peak)")
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
@@ -181,8 +193,12 @@ class PulseShape:
         coeffs = tuple(float(line) for line in text.splitlines() if line.strip())
         return cls(coefficients=coeffs, offset_hz=offset_hz, phase=phase)
 
-    def profile(self, x: float) -> float:
-        """Horner evaluation of the raw polynomial at x = t/duration."""
+    def profile(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Horner evaluation of the raw polynomial at x = t/duration.
+
+        Elementwise on arrays, with the same float operations as on a scalar,
+        so both give bit-identical values.
+        """
         s = 0.0
         for c in reversed(self.coefficients):
             s = s * x + c
@@ -191,8 +207,7 @@ class PulseShape:
     @functools.cached_property
     def profile_extrema(self) -> tuple[float, float]:
         """(min, max) of the raw polynomial over [0, 1] on a dense grid."""
-        xs = np.linspace(0.0, 1.0, 20001)
-        vals = np.array([self.profile(x) for x in xs])
+        vals = self.profile(np.linspace(0.0, 1.0, 20001))
         return float(vals.min()), float(vals.max())
 
     @functools.cached_property
@@ -230,7 +245,7 @@ class Propagator:
         if arr.shape != (4, 4):
             raise ValueError(f"propagator must be 4x4, got {arr.shape}")
         defect = np.linalg.norm(arr @ arr.conj().T - np.eye(4))
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:
             raise ValueError(f"propagator is not unitary (defect {defect:.3e})")
         arr.flags.writeable = False
         object.__setattr__(self, "u", arr)
@@ -239,9 +254,43 @@ class Propagator:
         return Propagator(self.u @ other.u)
 
 
-def _expm_hermitian(h: np.ndarray, dt: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0] of an (n, 4, 4) stack, as a pairwise tree."""
+    while len(steps) > 1:
+        even = len(steps) - len(steps) % 2
+        steps = np.concatenate([steps[1:even:2] @ steps[0:even:2], steps[even:]])
+    return steps[0]
+
+
+def _midpoint_propagator(
+    hamiltonians_at: Callable[[np.ndarray], np.ndarray],
+    t_span: tuple[float, float],
+    n_steps: int,
+) -> Propagator:
+    """Midpoint-rule propagator from a batched Hamiltonian builder.
+
+    ``hamiltonians_at`` maps an array of m midpoint times to an (m, 4, 4)
+    stack of Hamiltonians; it is called on blocks of at most `_BLOCK_STEPS`
+    consecutive steps.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got {t_span!r}")
+    dt = (t1 - t0) / n_steps
+    u = np.eye(4, dtype=complex)
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
+        h = hamiltonians_at(t0 + (k + 0.5) * dt)
+        defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
+        if not np.all(defect <= HERMITICITY_TOL * scale):
+            raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
+        w, v = np.linalg.eigh(h)
+        steps = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        u = _ordered_product(steps) @ u
+    return Propagator(u)
 
 
 def propagate(
@@ -251,21 +300,25 @@ def propagate(
 ) -> Propagator:
     """Time-ordered evolution under a piecewise-constant midpoint rule.
 
-    U = prod_k exp(-i H(t_mid,k) dt), latest factor leftmost; each 4x4
-    exponential via Hermitian eigen-decomposition.  Second-order accurate
-    in the step size for smooth H(t).
+    U = prod_k exp(-i H(t_mid,k) dt), latest factor leftmost, with
+    t_mid,k = t0 + (k + 0.5) dt.  Second-order accurate in the step size for
+    smooth H(t).  The steps are processed in blocks of `_BLOCK_STEPS`: each
+    block's Hamiltonians are checked for Hermiticity, diagonalised in one
+    batched ``eigh`` and their exponentials multiplied as a pairwise tree,
+    so memory stays bounded whatever ``n_steps`` is.  The blocked product
+    differs from a step-by-step one only by round-off.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    t0, t1 = t_span
-    dt = (t1 - t0) / n_steps
-    u = np.eye(4, dtype=complex)
-    for k in range(n_steps):
-        h = hamiltonian_of_t(t0 + (k + 0.5) * dt)
-        if np.linalg.norm(h - h.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
-            raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
-        u = _expm_hermitian(h, dt) @ u
-    return Propagator(u)
+
+    def hamiltonians_at(times: np.ndarray) -> np.ndarray:
+        stack = []
+        for t in times.tolist():
+            h = np.asarray(hamiltonian_of_t(t))
+            if h.shape != (4, 4):
+                raise ValueError(f"hamiltonian_of_t must return a 4x4 matrix, got shape {h.shape}")
+            stack.append(h)
+        return np.array(stack)
+
+    return _midpoint_propagator(hamiltonians_at, t_span, n_steps)
 
 
 def collective_rotation(angle: float, phase: float) -> Propagator:
@@ -339,10 +392,12 @@ def simulate_permutation(
         shape.phase
     )
 
-    def h_of_t(t: float) -> np.ndarray:
-        return h0 + apsoc_waveform(shape, t) * rf_axis
+    def hamiltonians_at(times: np.ndarray) -> np.ndarray:
+        # the array form of h0 + apsoc_waveform(shape, t) * rf_axis, bit for bit
+        amp = shape.max_amplitude * shape.profile(times / shape.duration) / shape.profile_peak
+        return h0 + amp[:, None, None] * rf_axis
 
-    u_pulse = propagate(h_of_t, (0.0, shape.duration), n_steps)
+    u_pulse = _midpoint_propagator(hamiltonians_at, (0.0, shape.duration), n_steps)
     u_comp = composite_pulse_propagator(sign=frame_sign * _COMPOSITE_SIGNS[kind])
     u_total = u_comp @ u_pulse
 
@@ -374,9 +429,9 @@ def t00_project(rho: np.ndarray) -> np.ndarray:
     arr = np.asarray(rho, dtype=complex)
     if arr.shape != (4, 4):
         raise ValueError(f"density operator must be 4x4, got {arr.shape}")
-    if np.linalg.norm(arr - arr.conj().T) > 1e-9:
+    if not np.linalg.norm(arr - arr.conj().T) <= 1e-9:
         raise ValueError("density operator must be Hermitian")
-    if abs(np.trace(arr) - 1.0) > 1e-9:
+    if not abs(np.trace(arr) - 1.0) <= 1e-9:
         raise ValueError("density operator must have unit trace")
     so_part = np.real(np.trace(SO_OPERATOR_ST @ arr))  # tr(Q^2) = 1
     return np.trace(arr) * np.eye(4, dtype=complex) / 4.0 + so_part * SO_OPERATOR_ST

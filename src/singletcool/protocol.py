@@ -108,10 +108,10 @@ class TransferMatrix:
         arr = np.array(self.m, dtype=float, copy=True)
         if arr.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {arr.shape}")
-        if arr.min() < -ENTRY_TOL:
+        if not arr.min() >= -ENTRY_TOL:
             raise ValueError(f"negative entry {arr.min():.3e} in transfer matrix {self.label!r}")
         colsums = arr.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > self.tol:
+        if not np.max(np.abs(colsums - 1.0)) <= self.tol:
             raise ValueError(
                 f"transfer matrix {self.label!r} columns sum to {colsums}, not 1"
             )

@@ -177,6 +177,38 @@ class TestPulseShape:
         with pytest.raises(ValueError):
             PulseShape.from_file(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration", float("nan")),
+            ("duration", float("inf")),
+            ("max_amplitude", float("nan")),
+            ("max_amplitude", float("-inf")),
+            ("offset_hz", float("nan")),
+            ("phase", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PulseShape(coefficients=(1.0,) * 21, **{field: value})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_coefficients(self, bad):
+        coeffs = [1.0] * 21
+        coeffs[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PulseShape(coefficients=tuple(coeffs))
+
+    def test_rejects_all_zero_coefficients(self):
+        with pytest.raises(ValueError, match="zero"):
+            PulseShape(coefficients=(0.0,) * 21)
+
+    def test_array_profile_equals_scalar_profile_bitwise(self):
+        shape = PulseShape.default()
+        xs = np.linspace(0.0, 1.0, 4001)
+        scalar = np.array([shape.profile(float(x)) for x in xs])
+        np.testing.assert_array_equal(shape.profile(xs), scalar)
+
     def test_profile_extrema_reported(self):
         shape = PulseShape.default()
         lo, hi = shape.profile_extrema
@@ -268,11 +300,59 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), dtype=complex), (0.0, 1.0), 0)
 
+    @pytest.mark.parametrize("n_steps", [1, 2047, 2048, 2 * 2048 + 1])
+    def test_matches_sequential_step_product(self, default_params, n_steps):
+        # the blocked, batched product against the plain step-by-step loop,
+        # on either side of the block edges
+        ops = spin_operators()
+        h0 = free_hamiltonian(default_params, offset_hz=20.0)
+        ix, iy = ops.i1x + ops.i2x, ops.i1y + ops.i2y
+
+        def h_of_t(t):
+            return h0 + 300.0 * np.sin(40.0 * t) * ix + 150.0 * np.cos(25.0 * t) * iy
+
+        t0, t1 = 0.01, 0.09
+        dt = (t1 - t0) / n_steps
+        expected = np.eye(4, dtype=complex)
+        for k in range(n_steps):
+            w, v = np.linalg.eigh(h_of_t(t0 + (k + 0.5) * dt))
+            expected = (v * np.exp(-1j * w * dt)) @ v.conj().T @ expected
+        u = propagate(h_of_t, (t0, t1), n_steps)
+        np.testing.assert_allclose(u.u, expected, rtol=0, atol=1e-12)
+
+    def test_rejects_non_hermitian_step_in_second_block(self):
+        # steps are unit-spaced in time, so t > 2050 lands inside the second block
+        bad = np.zeros((4, 4), dtype=complex)
+        bad[0, 1] = 1.0
+
+        def h_of_t(t):
+            return bad if t > 2050.0 else np.zeros((4, 4), dtype=complex)
+
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            propagate(h_of_t, (0.0, 3000.0), 3000)
+
+    def test_rejects_nan_hamiltonian(self):
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            propagate(lambda t: np.full((4, 4), np.nan), (0.0, 1.0), 4)
+
+    @pytest.mark.parametrize("t_span", [(0.0, float("nan")), (float("-inf"), 1.0)])
+    def test_rejects_non_finite_time_span(self, t_span):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(lambda t: np.zeros((4, 4)), t_span, 4)
+
+    def test_rejects_wrong_shape_hamiltonian(self):
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
+            propagate(lambda t: np.zeros((2, 2)), (0.0, 1.0), 4)
+
 
 class TestPropagator:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             Propagator(np.eye(4) * 1.5)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Propagator(np.full((4, 4), np.nan))
 
     def test_composition_stays_unitary(self):
         a = collective_rotation(0.3, 0.1)
@@ -365,6 +445,26 @@ class TestSimulatePermutation:
         transfer = np.abs(v.conj().T @ u_ideal.u @ v) ** 2
         assert np.trace(target.T @ transfer) / 4.0 == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_propagate_driven_by_scalar_waveform(self, default_params):
+        # simulate_permutation builds its Hamiltonian stack in array form;
+        # it must agree with the scalar apsoc_waveform callable through propagate
+        kind = Permutation.PI124
+        shape = PulseShape.default(offset_hz=CARRIER_OFFSETS[kind])
+        ops = spin_operators()
+        h0 = free_hamiltonian(default_params, offset_hz=-shape.offset_hz)
+        ix = ops.i1x + ops.i2x
+        n_steps = 3000
+        u_pulse = propagate(
+            lambda t: h0 + apsoc_waveform(shape, t) * ix, (0.0, shape.duration), n_steps
+        )
+        u_total = composite_pulse_propagator(sign=+1) @ u_pulse
+        v = spin_operators().product_to_st
+        expected = np.abs(v.conj().T @ u_total.u @ v) ** 2
+        tm, fid = simulate_permutation(kind, default_params, shape=shape, n_steps=n_steps)
+        np.testing.assert_allclose(tm.m, expected, rtol=0, atol=1e-12)
+        target = permutation_matrix(kind).m
+        assert fid == pytest.approx(np.trace(target.T @ expected) / 4.0, abs=1e-12)
+
     def test_canonical_carrier_offsets(self):
         assert CARRIER_OFFSETS[Permutation.PI124] == -35.0
         assert CARRIER_OFFSETS[Permutation.PI142] == +35.0
@@ -440,6 +540,14 @@ class TestT00Project:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             t00_project(np.eye(4, dtype=complex))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            t00_project(np.full((4, 4), np.nan, dtype=complex))
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            t00_project(rho)
 
 
 class TestIndependentIntegratorCrossCheck:

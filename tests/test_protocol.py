@@ -277,6 +277,14 @@ class TestTransferMatrix:
         with pytest.raises(ValueError):
             TransferMatrix(np.eye(3))
 
+    def test_rejects_nan_entries(self):
+        m = np.eye(4)
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            TransferMatrix(m)
+        with pytest.raises(ValueError):
+            TransferMatrix(np.full((4, 4), np.nan))
+
     def test_population_conservation(self, rng):
         eps = 1e-3
         for p in random_populations(rng, 30):
