@@ -41,7 +41,6 @@ from .kinetics import (
     zeeman_enhancement_ratio,
 )
 from .protocol import (
-    Evolve,
     Permutation,
     Permute,
     ProtocolSequence,
@@ -74,7 +73,6 @@ __all__ = [
     "measure_order",
     "thermal_populations",
     "unitary_max_order",
-    "Evolve",
     "Permutation",
     "Permute",
     "ProtocolSequence",

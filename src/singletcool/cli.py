@@ -14,6 +14,7 @@ of the bundled 13C2 spin pair.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -39,10 +40,6 @@ SIGNAL_NOTE = "# signal of 1.0 = thermal-equilibrium signal of a 90-degree pulse
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ComputationError(Exception):
     pass
 
 
@@ -73,12 +70,14 @@ class RunConfig:
         if self.n_p < 0:
             raise ConfigError("np must be >= 0")
         for name in ("tau", "tau_ev", "tau_prime"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.n_steps < 1:
             raise ConfigError("n-steps must be >= 1")
         for name in ("tau_grid", "tau_ev_grid"):
             grid = getattr(self, name)
+            if grid is not None and not all(math.isfinite(x) for x in grid):
+                raise ConfigError(f"{name.replace('_', '-')} entries must be finite")
             if grid is not None and len(grid) > 1 and not all(
                 b > a for a, b in zip(grid, grid[1:])
             ):
@@ -345,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ComputationError as exc:
+    except kinetics.CalibrationError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     try:

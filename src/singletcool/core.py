@@ -29,11 +29,14 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.constants import k as k_B
+
+#: Exact SI values (2019 redefinition): reduced Planck constant in J s and
+#: Boltzmann constant in J/K.
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 #: Magnetogyric ratio of 13C in rad s^-1 T^-1 (overridable per system).
 GAMMA_13C = 6.728284e7
@@ -73,6 +76,9 @@ class SpinSystemParams:
     ts: float = 214.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.j_coupling == 0.0:
             raise ValueError("j_coupling must be nonzero")
         if self.b0 <= 0.0:

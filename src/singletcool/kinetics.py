@@ -12,9 +12,16 @@ measured time constants calibrate the model in closed form:
 
     k_S = 1/TS,    k_T = 1/T1 - 1/TS        (requires TS > T1)
 
-A relaxation interval of duration tau is the matrix exponential
-exp(R*tau); tau -> infinity gives complete rethermalization, and
-T1 << tau << TS approximates the ideal triplet reset.
+Theta and P_eq are commuting projectors with Theta @ P_eq = P_eq, so the
+generator has eigenvalues 0, -k_S and -(k_T + k_S) on P_eq, Theta - P_eq
+and I - Theta, and a relaxation interval of duration tau is exactly
+
+    exp(R*tau) = P_eq + e^{-k_S tau} (Theta - P_eq) + e^{-(k_T+k_S) tau} (I - Theta).
+
+tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet
+reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
+(1, 0), its T1 << tau << TS limit, and both engines share one pump loop
+(`protocol._pump`).
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
@@ -28,8 +35,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .core import (
     SINGLET_ORDER,
@@ -43,16 +48,11 @@ from .protocol import (
     RESET0,
     THERMAL_DEVIATION,
     Permutation,
-    Permute,
-    ProtocolSequence,
-    Reset,
     TransferMatrix,
+    _pump,
+    _reset_matrix,
     signal_from_singlet_order,
 )
-
-#: Eigenvector-matrix condition number beyond which the matrix exponential
-#: falls back from eigen-decomposition to scaling-and-squaring.
-EIG_COND_LIMIT = 1e8
 
 _RATE_CHECK_TOL = 1e-9
 
@@ -61,17 +61,26 @@ class CalibrationError(ValueError):
     """Raised when the calibrated generator fails its self-verification."""
 
 
+def _projectors(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Theta(eps) and P_eq(eps) (every column the thermal vector) as raw arrays."""
+    p_eq = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
+    return _reset_matrix(eps), np.tile(p_eq.reshape(4, 1), (1, 4))
+
+
 def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
     """R = k_T(Theta(eps) - I) + k_S(P_eq(eps) - I)."""
-    t = np.array([1.0 + eps, 1.0, 1.0 - eps]) / 3.0
-    theta = np.zeros((4, 4))
-    theta[0, 0] = 1.0
-    for col in (1, 2, 3):
-        theta[1:, col] = t
-    p_eq = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
-    peq_proj = np.tile(p_eq.reshape(4, 1), (1, 4))
+    theta, p_eq = _projectors(eps)
     eye = np.eye(4)
-    return k_t * (theta - eye) + k_s * (peq_proj - eye)
+    return k_t * (theta - eye) + k_s * (p_eq - eye)
+
+
+def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float) -> np.ndarray:
+    """exp(R*tau) in projector form; as P_eq + (Theta - P_eq) + (I - Theta) = I,
+    expm1 carries the departure from I, which keeps short intervals accurate."""
+    theta, p_eq = _projectors(eps)
+    eye = np.eye(4)
+    a, b = np.expm1(-k_s * tau), np.expm1(-(k_t + k_s) * tau)
+    return eye + a * (theta - p_eq) + b * (eye - theta)
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,6 @@ class RateMatrix:
         arr = np.array(self.r, dtype=float, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "r", arr)
-
-    def generator_at(self, eps: float) -> np.ndarray:
-        """The same rates with the thermal vector rebuilt at another eps."""
-        return _generator(self.k_t, self.k_s, eps)
 
 
 def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
@@ -131,24 +136,18 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
     return RateMatrix(r=r, k_t=k_t, k_s=k_s, eps=eps)
 
 
-def _expm(r: np.ndarray, tau: float) -> np.ndarray:
-    """exp(r*tau) by eigen-decomposition, falling back when ill-conditioned."""
-    w, v = np.linalg.eig(r)
-    if np.linalg.cond(v) > EIG_COND_LIMIT:
-        return scipy.linalg.expm(r * tau)
-    e = (v * np.exp(w * tau)) @ np.linalg.inv(v)
-    return e.real
-
-
 def finite_reset(rate: RateMatrix, tau: float) -> TransferMatrix:
     """Relaxation over an interval tau as the transfer matrix exp(R*tau).
 
-    tau = 0 gives the identity; tau -> infinity converges to complete
-    rethermalization (every column the thermal vector).
+    Evaluated in closed form at ``rate.eps``.  tau = 0 gives the identity;
+    tau -> infinity converges to complete rethermalization (every column
+    the thermal vector).
     """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    return TransferMatrix(_expm(rate.r, tau), label=f"finite_reset(tau={tau!r})")
+    return TransferMatrix(
+        _relaxation_map(rate.k_t, rate.k_s, rate.eps, tau), label=f"finite_reset(tau={tau!r})"
+    )
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,8 @@ def run_kinetic(
     reported in ``zo_final``.
 
     ``ideal_resets=True`` substitutes the instantaneous ideal reset for
-    every relaxation interval, reproducing the ideal engine exactly
-    (consistency diagnostic).
+    the pump and final resets (the tau_ev interval still relaxes),
+    reproducing the ideal engine exactly (consistency diagnostic).
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
@@ -208,45 +207,29 @@ def run_kinetic(
 
     eps = epsilon(params)
     rate = calibrate_rates(params.t1, params.ts, eps)
-    r0 = rate.generator_at(0.0)
-    e_src = eps * THERMAL_DEVIATION
+    source = eps * THERMAL_DEVIATION
 
-    reset_pump = RESET0 if ideal_resets else _expm(r0, tau)
+    # the deviation from the thermal fixed point relaxes under the eps = 0
+    # generator (first order in eps)
+    def relax(delta: np.ndarray, interval: float) -> np.ndarray:
+        return source + _relaxation_map(rate.k_t, rate.k_s, 0.0, interval) @ (delta - source)
 
-    def relax(delta: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-        # thermal state is an exact fixed point; deviation from it relaxes
-        # under the eps = 0 generator (first order in eps)
-        return e_src + propagator @ (delta - e_src)
+    def reset(interval: float) -> np.ndarray:
+        return RESET0 if ideal_resets else _relaxation_map(rate.k_t, rate.k_s, 0.0, interval)
 
-    delta = e_src.copy()
-    trace = [(0, _so_of_deviation(delta))]
-    k = 0
-    for step in ProtocolSequence.for_permutation_count(n_p).steps:
-        if isinstance(step, Reset):
-            if ideal_resets:
-                delta = RESET0 @ delta + e_src
-            else:
-                delta = relax(delta, reset_pump)
-        elif isinstance(step, Permute):
-            delta = _PERM_MATRICES[step.label] @ delta
-            k += 1
-            trace.append((k, _so_of_deviation(delta)))
+    deltas = _pump(n_p, reset(tau), source)
+    trace = [(k, _so_of_deviation(d)) for k, d in enumerate(deltas)]
+    delta = deltas[-1]
     pump_pop = PopulationVector(0.25 + delta)
 
     # detection branch: free evolution, then rank-0 filter + conversion
-    delta_det = delta
-    if tau_ev > 0.0:
-        delta_det = relax(delta, _expm(r0, tau_ev))
+    delta_det = relax(delta, tau_ev) if tau_ev > 0.0 else delta
     signal = signal_from_singlet_order(_so_of_deviation(delta_det), eps)
 
     zo_final: Optional[float] = None
     if enhance:
         tp = tau if tau_prime is None else tau_prime
-        reset_final = RESET0 if ideal_resets else _expm(r0, tp)
-        if ideal_resets:
-            delta_enh = RESET0 @ delta + e_src
-        else:
-            delta_enh = relax(delta, reset_final)
+        delta_enh = source + reset(tp) @ (delta - source)
         delta_enh = _PERM_MATRICES[Permutation.PI12] @ delta_enh
         zo_final = float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
 
@@ -365,6 +348,8 @@ def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
 
     def model(tt, a, tc):
         return a * np.exp(-tt / tc)
+
+    import scipy.optimize  # the only scipy use; kept off the package import path
 
     try:
         popt, _ = scipy.optimize.curve_fit(

@@ -76,13 +76,18 @@ _PERM_MATRICES = {
          [0, 0, 0, 1]], dtype=float),
 }
 
+
+def _reset_matrix(eps: float) -> np.ndarray:
+    """Theta(eps) as a raw array, unvalidated (see `ideal_reset`)."""
+    m = np.zeros((4, 4))
+    m[0, 0] = 1.0
+    m[1:, 1:] = (np.array([1.0 + eps, 1.0, 1.0 - eps]) / 3.0)[:, None]
+    return m
+
+
 #: Triplet reset at eps = 0: singlet row/column untouched, triplet
 #: populations replaced by their mean.
-RESET0 = np.array(
-    [[1, 0, 0, 0],
-     [0, 1 / 3, 1 / 3, 1 / 3],
-     [0, 1 / 3, 1 / 3, 1 / 3],
-     [0, 1 / 3, 1 / 3, 1 / 3]], dtype=float)
+RESET0 = _reset_matrix(0.0)
 
 #: Deviation of the thermal state from uniform populations, per unit eps.
 THERMAL_DEVIATION = np.array([0.0, 0.25, 0.0, -0.25])
@@ -147,12 +152,7 @@ def ideal_reset(eps: float) -> TransferMatrix:
     """
     if abs(eps) >= 1.0:
         raise ValueError(f"|eps| = {abs(eps)} >= 1: reset matrix would not be stochastic")
-    t = np.array([1.0 + eps, 1.0, 1.0 - eps]) / 3.0
-    m = np.zeros((4, 4))
-    m[0, 0] = 1.0
-    for col in (1, 2, 3):
-        m[1:, col] = t
-    return TransferMatrix(m, label=f"reset(eps={eps!r})")
+    return TransferMatrix(_reset_matrix(eps), label=f"reset(eps={eps!r})")
 
 
 def cycle_matrix(eps: float) -> TransferMatrix:
@@ -178,12 +178,7 @@ class Reset:
     pass
 
 
-@dataclass(frozen=True)
-class Evolve:
-    duration: float  # seconds of free relaxation; a no-op in the ideal engine
-
-
-Step = Union[Permute, Reset, Evolve]
+Step = Union[Permute, Reset]
 
 
 @dataclass(frozen=True)
@@ -220,6 +215,25 @@ def reset_deviation(delta: np.ndarray, eps: float) -> np.ndarray:
     return RESET0 @ delta + eps * THERMAL_DEVIATION
 
 
+def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
+    """Deviations from uniform after 0..n_p pump permutations from thermal.
+
+    The pump starts at the thermal deviation ``source``; each `Reset` maps
+    delta -> source + reset @ (delta - source), so the thermal state is a
+    fixed point of every reset.  `run_ideal` passes `RESET0` and the
+    kinetic engine the relaxation map of a finite interval.
+    """
+    delta = source
+    out = [delta]
+    for step in ProtocolSequence.for_permutation_count(n_p).steps:
+        if isinstance(step, Reset):
+            delta = source + reset @ (delta - source)
+        else:
+            delta = _PERM_MATRICES[step.label] @ delta
+            out.append(delta)
+    return out
+
+
 def run_ideal(n_p: int, eps: float) -> PopulationVector:
     """Populations after the ideal pump of n_p permutations from equilibrium.
 
@@ -232,15 +246,7 @@ def run_ideal(n_p: int, eps: float) -> PopulationVector:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
     if abs(eps) >= 1.0:
         raise ValueError(f"|eps| = {abs(eps)} >= 1")
-    seq = ProtocolSequence.for_permutation_count(n_p)
-    delta = eps * THERMAL_DEVIATION
-    for step in seq.steps:
-        if isinstance(step, Permute):
-            delta = _PERM_MATRICES[step.label] @ delta
-        elif isinstance(step, Reset):
-            delta = reset_deviation(delta, eps)
-        # Evolve: no relaxation at this layer
-    return PopulationVector(0.25 + delta)
+    return PopulationVector(0.25 + _pump(n_p, RESET0, eps * THERMAL_DEVIATION)[-1])
 
 
 def closed_form_so(n_p: int, eps: float) -> float:

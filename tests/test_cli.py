@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import singletcool
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -54,6 +60,18 @@ class TestPumpCommand:
     def test_rejects_bad_mode(self, tmp_path):
         code, _ = run_cli(tmp_path, "bad", "pump", "--mode", "coherent-check")
         assert code == EXIT_CONFIG
+
+    def test_kinetic_row_zero_is_exactly_zero(self, tmp_path):
+        code, lines = run_cli(tmp_path, "pumpk0", "pump", "--mode", "kinetic", "--np", "4")
+        assert code == EXIT_OK
+        assert data_rows(lines)[0] == "0,0.0,0.0"
+
+    def test_huge_singlet_lifetime_is_a_computation_failure(self, tmp_path, capsys):
+        # finite but so far above t1 that the rate self-check cannot hold
+        code, lines = run_cli(tmp_path, "bigts", "pump", "--ts", "1e12")
+        assert code == EXIT_COMPUTE
+        assert lines == []
+        assert capsys.readouterr().err.startswith("computation failed:")
 
 
 class TestSweepCommand:
@@ -224,6 +242,31 @@ class TestConfigHandling:
     def test_negative_duration_rejected(self):
         assert main(["pump", "--tau", "-3"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["enhance", "--tau", "nan"],
+            ["enhance", "--tau-prime", "nan"],
+            ["pump", "--j", "nan"],
+            ["pump", "--temperature", "nan"],
+            ["pump", "--gamma", "inf"],
+            ["pump", "--ts", "inf"],
+            ["pump", "--b0", "nan"],
+            ["pump", "--tau-ev", "inf"],
+            ["sweep-tau", "--tau-grid", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_values_rejected(self, tmp_path, args):
+        code, lines = run_cli(tmp_path, "nonfinite", *args)
+        assert code == EXIT_CONFIG
+        assert lines == []
+
+    def test_non_finite_value_in_config_file_rejected(self, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("t1 = nan\n")
+        assert main(["pump", "--config", str(cfg)]) == EXIT_CONFIG
+
     def test_unknown_flag_rejected(self):
         assert main(["pump", "--frequency", "3"]) == EXIT_CONFIG
 
@@ -256,3 +299,16 @@ class TestOutputContract:
         captured = capsys.readouterr().out.splitlines()
         assert captured[0] == "n_p,so,signal,closed_form_so"
         assert len(data_rows(captured)) == 3
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is only needed by the decay fit, which imports it on first use
+        env = dict(os.environ)
+        src = str(Path(singletcool.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, singletcool.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

@@ -118,6 +118,27 @@ class TestFiniteReset:
         assert retention == pytest.approx(np.exp(-28.0 / ts), rel=1e-12)
         assert retention == pytest.approx(0.8774, abs=5e-5)
 
+    def test_long_intervals_give_valid_transfer_matrices(self):
+        # regression: an eigen-decomposition exponential left column sums
+        # off by more than 1e-12 at these intervals
+        finite_reset(calibrate_rates(0.01, 5.0, 0.0), 56.23)
+        rate = calibrate_rates(2.0, 1e6, 0.0)
+        for tau in np.linspace(1.7e4, 1.9e4, 41):
+            finite_reset(rate, tau)
+
+    @pytest.mark.parametrize("t1", [0.01, 1.0, 7.36])
+    @pytest.mark.parametrize("ratio", [1 + 1e-9, 1 + 1e-6, 29.0, 1e5])
+    @pytest.mark.parametrize("eps", [0.0, 3e-5, 0.3])
+    def test_closed_form_matches_scaling_and_squaring(self, t1, ratio, eps):
+        import scipy.linalg
+
+        rate = calibrate_rates(t1, t1 * ratio, eps)
+        for tau in np.logspace(-3, 3):
+            reference = scipy.linalg.expm(rate.r * tau)
+            np.testing.assert_allclose(finite_reset(rate, tau).m, reference, rtol=0, atol=1e-11)
+        for tau in (1e4, 1e5):
+            finite_reset(rate, tau)
+
 
 class TestRunKinetic:
     def test_ideal_reset_limit_reproduces_ideal_engine(self, default_params):
@@ -180,6 +201,17 @@ class TestRunKinetic:
         res = run_kinetic(6, 28.0, 0.0, default_params, enhance=True)
         explicit = run_kinetic(6, 28.0, 0.0, default_params, enhance=True, tau_prime=28.0)
         assert res.zo_final == explicit.zo_final
+
+    def test_evolution_interval_scales_signal_by_singlet_decay(self, default_params):
+        # singlet order is a left eigenvector of every relaxation map with
+        # eigenvalue exp(-tau/ts), so free evolution only rescales the signal
+        ts = default_params.ts
+        for n in (1, 2, 5, 6, 11):
+            for tau in (0.5, 28.0, 300.0):
+                base = run_kinetic(n, tau, 0.0, default_params).signal
+                for tau_ev in (1.0, 50.0, 600.0):
+                    evolved = run_kinetic(n, tau, tau_ev, default_params).signal
+                    assert evolved == pytest.approx(base * np.exp(-tau_ev / ts), rel=1e-12)
 
     def test_no_enhancement_means_no_zo(self, default_params):
         assert run_kinetic(4, 28.0, 0.0, default_params).zo_final is None
