@@ -213,12 +213,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
+    """Spin parameters and eps for the population engines, which need 0 < |eps| < 1."""
+    params = config.spin_params()
+    eps = epsilon(params)
+    if not 0.0 < abs(eps) < 1.0:
+        raise ConfigError(f"eps = {eps!r} must satisfy 0 < |eps| < 1 (gamma, b0, temperature)")
+    return params, eps
+
+
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     """One row per permutation count from 0 to np."""
     if config.mode not in ("ideal", "kinetic"):
         raise ConfigError("pump requires mode ideal or kinetic")
-    params = config.spin_params()
-    eps = epsilon(params)
+    params, eps = _population_params(config)
     lines = []
     if config.mode == "ideal":
         lines.append("n_p,so,signal,closed_form_so")
@@ -231,10 +239,12 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     else:
         lines.append("n_p,so,signal")
         lines.append(SIGNAL_NOTE)
-        for k in range(config.n_p + 1):
-            res = kinetics.run_kinetic(k, config.tau, config.tau_ev, params)
-            so = res.signal * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
-            lines.append(f"{k},{_fmt(so)},{_fmt(res.signal)}")
+        # the pump for k permutations is a prefix of the pump for n_p
+        res = kinetics.run_kinetic(config.n_p, config.tau, config.tau_ev, params)
+        for k, so_k in res.so_trace:
+            sig = kinetics._detected_signal(so_k, eps, config.tau_ev, params.ts)
+            so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
+            lines.append(f"{k},{_fmt(so)},{_fmt(sig)}")
     return lines, EXIT_OK
 
 
@@ -243,7 +253,7 @@ def cmd_sweep_tau(config: RunConfig) -> tuple[list[str], int]:
         raise ConfigError("sweep-tau requires --tau-grid")
     if config.mode != "kinetic":
         raise ConfigError("sweep-tau runs on the kinetic engine (mode kinetic)")
-    params = config.spin_params()
+    params, _ = _population_params(config)
     sweep = kinetics.sweep_tau(config.n_p, config.tau_grid, params)
     lines = ["tau,signal", SIGNAL_NOTE]
     lines += [f"{_fmt(tau)},{_fmt(sig)}" for tau, sig in sweep.points]
@@ -259,7 +269,7 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
         raise ConfigError("decay needs at least 3 grid points for the exponential fit")
     if config.mode != "kinetic":
         raise ConfigError("decay runs on the kinetic engine (mode kinetic)")
-    params = config.spin_params()
+    params, _ = _population_params(config)
     curve = kinetics.decay_curve(config.n_p, config.tau, config.tau_ev_grid, params)
     fit = kinetics.fit_monoexponential(curve)
     lines = ["tau_ev,signal", SIGNAL_NOTE]
@@ -281,8 +291,7 @@ def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
         raise ConfigError("enhance is defined for even permutation counts")
     if config.mode not in ("ideal", "kinetic"):
         raise ConfigError("enhance requires mode ideal or kinetic")
-    params = config.spin_params()
-    eps = epsilon(params)
+    params, eps = _population_params(config)
     zo_eq = eps / (2.0 * np.sqrt(2.0))
     if config.mode == "ideal":
         pumped = protocol.run_ideal(config.n_p, eps)

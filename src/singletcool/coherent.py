@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import N_SO, SpinSystemParams
+from .core import SINGLET_ORDER, SpinSystemParams
 from .protocol import Permutation, TransferMatrix, permutation_matrix
 
 UNITARITY_TOL = 1e-9
@@ -413,9 +413,7 @@ def simulate_permutation(
 
 #: Singlet-order operator in the singlet-triplet basis (unit Frobenius norm,
 #: traceless); its expectation on a diagonal state is the SO observable.
-SO_OPERATOR_ST = np.diag(N_SO * np.array([1.0, -1.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])).astype(
-    complex
-)
+SO_OPERATOR_ST = np.diag(SINGLET_ORDER.eigenvalues).astype(complex)
 
 
 def t00_project(rho: np.ndarray) -> np.ndarray:

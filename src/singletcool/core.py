@@ -111,7 +111,7 @@ class PopulationVector:
             raise ValueError(f"population vector needs exactly 4 entries, got shape {arr.shape}")
         if arr.min() < -POPULATION_TOL:
             raise ValueError(f"negative population {arr.min():.3e} beyond tolerance")
-        if abs(arr.sum() - 1.0) > POPULATION_TOL:
+        if not abs(arr.sum() - 1.0) <= POPULATION_TOL:
             raise ValueError(f"populations sum to {arr.sum()!r}, not 1")
         arr[arr < 0.0] = 0.0
         arr.flags.writeable = False

@@ -23,6 +23,12 @@ reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
 (1, 0), its T1 << tau << TS limit, and both engines share one pump loop
 (`protocol._pump`).
 
+Singlet order is a left eigenvector of every relaxation map with eigenvalue
+e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
+pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
+pump: a decay curve scales its final SO, and the build-up after k
+permutations is entry k of its SO trace.
+
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
 from thermal relaxes under the eps-independent generator and the sole
@@ -31,6 +37,7 @@ eps-dependence of any run is the linear thermal source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -128,7 +135,7 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
     v_zo = np.array([0.0, 1.0, 0.0, -1.0])
     so_err = np.max(np.abs(r0 @ v_so + v_so / ts)) / (np.max(np.abs(v_so)) / ts)
     zo_err = np.max(np.abs(r0 @ v_zo + v_zo / t1)) / (np.max(np.abs(v_zo)) / t1)
-    if so_err > _RATE_CHECK_TOL or zo_err > _RATE_CHECK_TOL:
+    if not (so_err <= _RATE_CHECK_TOL and zo_err <= _RATE_CHECK_TOL):
         raise CalibrationError(
             f"calibrated generator misses its decay rates (SO err {so_err:.2e}, "
             f"ZO err {zo_err:.2e})"
@@ -174,6 +181,11 @@ def _so_of_deviation(delta: np.ndarray) -> float:
     return float(SINGLET_ORDER.normalization * (delta[0] - (delta[1] + delta[2] + delta[3]) / 3.0))
 
 
+def _detected_signal(so: float, eps: float, tau_ev: float, ts: float) -> float:
+    """Signal of pumped singlet order `so` after free evolution for tau_ev."""
+    return signal_from_singlet_order(so, eps) * math.exp(-tau_ev / ts)
+
+
 def run_kinetic(
     n_p: int,
     tau: float,
@@ -187,12 +199,12 @@ def run_kinetic(
     """Pump n_p permutations with finite resets of duration tau.
 
     Every ideal reset of the pump sequence is replaced by relaxation under
-    the calibrated rate matrix for an interval tau; after the pump the
-    state relaxes freely for tau_ev before the singlet-filtered signal is
-    computed.  With ``enhance=True`` the post-pump state is additionally
-    run through a final reset of duration tau_prime (defaulting to tau)
-    and the 1<->2 population swap, and the resulting Zeeman order is
-    reported in ``zo_final``.
+    the calibrated rate matrix for an interval tau.  The singlet-filtered
+    signal is that of the pumped singlet order after free evolution for
+    tau_ev, which rescales it by exp(-tau_ev/TS).  With ``enhance=True``
+    the post-pump state is additionally run through a final reset of
+    duration tau_prime (defaulting to tau) and the 1<->2 population swap,
+    and the resulting Zeeman order is reported in ``zo_final``.
 
     ``ideal_resets=True`` substitutes the instantaneous ideal reset for
     the pump and final resets (the tau_ev interval still relaxes),
@@ -200,9 +212,9 @@ def run_kinetic(
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
-    if tau < 0.0 or tau_ev < 0.0:
+    if not (tau >= 0.0 and tau_ev >= 0.0):
         raise ValueError("tau and tau_ev must be >= 0")
-    if tau_prime is not None and tau_prime < 0.0:
+    if tau_prime is not None and not tau_prime >= 0.0:
         raise ValueError("tau_prime must be >= 0")
 
     eps = epsilon(params)
@@ -211,20 +223,12 @@ def run_kinetic(
 
     # the deviation from the thermal fixed point relaxes under the eps = 0
     # generator (first order in eps)
-    def relax(delta: np.ndarray, interval: float) -> np.ndarray:
-        return source + _relaxation_map(rate.k_t, rate.k_s, 0.0, interval) @ (delta - source)
-
     def reset(interval: float) -> np.ndarray:
         return RESET0 if ideal_resets else _relaxation_map(rate.k_t, rate.k_s, 0.0, interval)
 
     deltas = _pump(n_p, reset(tau), source)
-    trace = [(k, _so_of_deviation(d)) for k, d in enumerate(deltas)]
+    trace = tuple((k, _so_of_deviation(d)) for k, d in enumerate(deltas))
     delta = deltas[-1]
-    pump_pop = PopulationVector(0.25 + delta)
-
-    # detection branch: free evolution, then rank-0 filter + conversion
-    delta_det = relax(delta, tau_ev) if tau_ev > 0.0 else delta
-    signal = signal_from_singlet_order(_so_of_deviation(delta_det), eps)
 
     zo_final: Optional[float] = None
     if enhance:
@@ -234,9 +238,9 @@ def run_kinetic(
         zo_final = float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
 
     return KineticProtocolResult(
-        populations_after_pump=pump_pop,
-        so_trace=tuple(trace),
-        signal=signal,
+        populations_after_pump=PopulationVector(0.25 + delta),
+        so_trace=trace,
+        signal=_detected_signal(trace[-1][1], eps, tau_ev, params.ts),
         zo_final=zo_final,
     )
 
@@ -293,13 +297,13 @@ def decay_curve(
     tau_ev_grid: Sequence[float],
     params: SpinSystemParams,
 ) -> tuple[tuple[float, float], ...]:
-    """Signal versus post-pump evolution interval tau_ev."""
+    """Signal versus post-pump evolution interval tau_ev, from one pump."""
     grid = _check_grid(tau_ev_grid, "tau_ev_grid")
-    if grid.min() < 0.0:
+    if not grid.min() >= 0.0:
         raise ValueError("tau_ev_grid entries must be >= 0")
-    return tuple(
-        (float(tev), run_kinetic(n_p, tau, float(tev), params).signal) for tev in grid
-    )
+    so = run_kinetic(n_p, tau, 0.0, params).so_trace[-1][1]
+    eps = epsilon(params)
+    return tuple((float(tev), _detected_signal(so, eps, float(tev), params.ts)) for tev in grid)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import singletcool
+from singletcool import kinetics
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -65,6 +67,32 @@ class TestPumpCommand:
         code, lines = run_cli(tmp_path, "pumpk0", "pump", "--mode", "kinetic", "--np", "4")
         assert code == EXIT_OK
         assert data_rows(lines)[0] == "0,0.0,0.0"
+
+    @pytest.mark.parametrize("tau_ev", [0.0, 50.0])
+    def test_kinetic_rows_equal_separate_runs(self, tmp_path, tau_ev):
+        code, lines = run_cli(
+            tmp_path, "pumpkrows", "pump", "--mode", "kinetic", "--np", "9",
+            "--tau", "28", "--tau-ev", str(tau_ev),
+        )
+        assert code == EXIT_OK
+        params = singletcool.SpinSystemParams()
+        eps = singletcool.epsilon(params)
+        rows = data_rows(lines)
+        assert len(rows) == 10
+        for k, row in enumerate(rows):
+            n, so, sig = row.split(",")
+            signal = singletcool.run_kinetic(k, 28.0, tau_ev, params).signal
+            assert int(n) == k
+            assert float(sig) == signal
+            assert float(so) == signal * eps * np.sqrt(3.0) / 4.0
+
+    def test_kinetic_mode_runs_one_pump(self, tmp_path, monkeypatch):
+        spy = mock.Mock(wraps=kinetics.run_kinetic)
+        monkeypatch.setattr(kinetics, "run_kinetic", spy)
+        code, lines = run_cli(tmp_path, "pumpk1", "pump", "--mode", "kinetic", "--np", "12")
+        assert code == EXIT_OK
+        assert len(data_rows(lines)) == 13
+        assert spy.call_count == 1
 
     def test_huge_singlet_lifetime_is_a_computation_failure(self, tmp_path, capsys):
         # finite but so far above t1 that the rate self-check cannot hold
@@ -261,6 +289,35 @@ class TestConfigHandling:
         code, lines = run_cli(tmp_path, "nonfinite", *args)
         assert code == EXIT_CONFIG
         assert lines == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pump", "--gamma", "0"],
+            ["enhance", "--gamma", "0"],
+            ["sweep-tau", "--gamma", "0", "--tau-grid", "1,10"],
+            ["decay", "--gamma", "0", "--tau-ev-grid", "0,50,100"],
+            ["pump", "--mode", "ideal", "--temperature", "1e-25"],
+            ["pump", "--mode", "kinetic", "--temperature", "1e-25"],
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.filterwarnings("ignore:eps = .* outside the high-temperature regime")
+    def test_polarization_outside_model_domain_rejected(self, tmp_path, capsys, args):
+        # the population engines need 0 < |eps| < 1
+        code, lines = run_cli(tmp_path, "badeps", *args)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert lines == []
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_coherent_check_does_not_need_polarization(self, tmp_path):
+        code, lines = run_cli(
+            tmp_path, "cohg0", "coherent-check", "--gamma", "0", "--n-steps", "200"
+        )
+        assert code == EXIT_OK
+        assert lines[0] == "section,x,y"
 
     def test_non_finite_value_in_config_file_rejected(self, tmp_path):
         cfg = tmp_path / "nan.cfg"

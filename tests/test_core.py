@@ -90,6 +90,10 @@ class TestPopulationVector:
         with pytest.raises(ValueError):
             PopulationVector(np.array([0.3, 0.3, 0.3, 0.3]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            PopulationVector(np.array([np.nan, 0.25, 0.25, 0.25]))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             PopulationVector(np.array([1.0, 0.0, 0.0]))

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from singletcool import kinetics
 from singletcool import (
     SINGLET_ORDER,
     PopulationVector,
@@ -63,6 +68,10 @@ class TestCalibrateRates:
         expected = np.sort([0.0, -1.0 / ts, -1.0 / t1, -1.0 / t1])
         np.testing.assert_allclose(w, expected, rtol=1e-9, atol=1e-12)
 
+    def test_nan_lifetime_fails_the_self_check(self):
+        with pytest.raises(kinetics.CalibrationError):
+            calibrate_rates(float("nan"), 214.0)
+
     def test_mode_rates(self):
         # slowest decaying deviation mode is singlet order at 1/ts, the
         # Zeeman mode decays at 1/t1
@@ -80,6 +89,21 @@ class TestFiniteReset:
 
     def test_zero_interval_is_identity(self):
         np.testing.assert_allclose(finite_reset(self.rate, 0.0).m, np.eye(4), atol=1e-14)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        t1=st.floats(1e-2, 1e2),
+        ratio=st.floats(1.0 + 1e-6, 1e4),
+        eps=st.floats(-0.5, 0.5),
+        tau_over_ts=st.floats(0.0, 50.0),
+    )
+    def test_singlet_order_is_a_left_eigenvector(self, t1, ratio, eps, tau_over_ts):
+        # the identity that lets free evolution rescale pumped singlet order
+        ts = t1 * ratio
+        tau = tau_over_ts * ts
+        m = finite_reset(calibrate_rates(t1, ts, eps), tau).m
+        so = SINGLET_ORDER.eigenvalues
+        np.testing.assert_allclose(so @ m, np.exp(-tau / ts) * so, rtol=0, atol=1e-12)
 
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -224,6 +248,20 @@ class TestRunKinetic:
         with pytest.raises(ValueError):
             run_kinetic(4, 28.0, -0.5, default_params)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tau": float("nan")},
+            {"tau_ev": float("nan")},
+            {"enhance": True, "tau_prime": float("nan")},
+        ],
+        ids=["tau", "tau_ev", "tau_prime"],
+    )
+    def test_nan_intervals_rejected(self, default_params, kwargs):
+        args = {"tau": 28.0, "tau_ev": 0.0, **kwargs}
+        with pytest.raises(ValueError):
+            run_kinetic(4, params=default_params, **args)
+
 
 class TestSweepTau:
     def test_too_short_and_too_long_lose(self, default_params):
@@ -256,6 +294,10 @@ class TestSweepTau:
         with pytest.raises(ValueError):
             sweep_tau(6, [10.0, 5.0], default_params)
 
+    def test_nan_grid_rejected(self, default_params):
+        with pytest.raises(ValueError):
+            sweep_tau(6, [float("nan")], default_params)
+
 
 class TestDecayCurve:
     def test_pure_exponential_in_evolution_interval(self, default_params):
@@ -285,6 +327,33 @@ class TestDecayCurve:
     def test_empty_grid_rejected(self, default_params):
         with pytest.raises(ValueError):
             decay_curve(6, 28.0, [], default_params)
+
+    def test_nan_inputs_rejected(self, default_params):
+        with pytest.raises(ValueError):
+            decay_curve(4, 28.0, [float("nan")], default_params)
+        with pytest.raises(ValueError):
+            decay_curve(4, float("nan"), [0.0, 1.0], default_params)
+
+    def test_one_pump_per_curve(self, default_params, monkeypatch):
+        grid = [0.0, 1e-3, 0.5, 28.0, 214.0, 900.0]
+        spy = mock.Mock(wraps=kinetics.run_kinetic)
+        monkeypatch.setattr(kinetics, "run_kinetic", spy)
+        curve = decay_curve(7, 28.0, grid, default_params)
+        assert spy.call_count == 1
+        for tev, sig in curve:
+            assert sig == run_kinetic(7, 28.0, tev, default_params).signal
+
+    def test_deep_tail_matches_extended_precision(self, default_params):
+        # s0*exp(-tau_ev/ts) evaluated in 40 digits; relaxing the pumped
+        # state with the 4x4 map instead loses ~3e-7 relative at 5000 s
+        mp = pytest.importorskip("mpmath")
+        grid = [0.0, 1e-3, 3.0, 77.0, 900.0, 5000.0]
+        curve = decay_curve(11, 5.0, grid, default_params)
+        with mp.workdps(40):
+            s0 = mp.mpf(curve[0][1])
+            for tev, sig in curve:
+                exact = s0 * mp.exp(-mp.mpf(tev) / mp.mpf(default_params.ts))
+                assert abs((mp.mpf(sig) - exact) / exact) < 1e-14
 
 
 class TestFitMonoexponential:
