@@ -3,7 +3,8 @@
 Every command writes deterministic CSV (first line a column header,
 comment lines start with '#', floats at full double precision) to the
 path given by --out, or stdout.  Exit codes: 0 success, 1 invalid
-config, 2 computation/fit failure, 3 I/O failure.
+config, 2 computation/fit failure, 3 I/O failure.  An error goes to stderr
+as one line, followed by the run's warnings as ``warning: ...`` lines.
 
 Configuration is read from flags, or from a plain-text file of
 ``key = value`` lines given with --config ('#' comments allowed); flags
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -26,6 +28,7 @@ from .core import (
     GAMMA_13C,
     SINGLET_ORDER,
     ZEEMAN_ORDER,
+    PopulationVector,
     SpinSystemParams,
     epsilon,
     measure_order,
@@ -216,10 +219,13 @@ def _fmt(x) -> str:
 def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
     """Spin parameters and eps for the population engines, which need 0 < |eps| < 1."""
     params = config.spin_params()
-    eps = epsilon(params)
+    with warnings.catch_warnings():
+        # an eps out of range is a config error, not a high-temperature warning
+        warnings.simplefilter("ignore")
+        eps = epsilon(params)
     if not 0.0 < abs(eps) < 1.0:
         raise ConfigError(f"eps = {eps!r} must satisfy 0 < |eps| < 1 (gamma, b0, temperature)")
-    return params, eps
+    return params, epsilon(params)
 
 
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
@@ -231,8 +237,10 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     if config.mode == "ideal":
         lines.append("n_p,so,signal,closed_form_so")
         lines.append(SIGNAL_NOTE)
-        for k in range(config.n_p + 1):
-            so = measure_order(protocol.run_ideal(k, eps), SINGLET_ORDER)
+        # the pump for k permutations is a prefix of the pump for n_p
+        deltas = protocol._pump(config.n_p, protocol.RESET0, eps * protocol.THERMAL_DEVIATION)
+        for k, delta in enumerate(deltas):
+            so = measure_order(PopulationVector(0.25 + delta), SINGLET_ORDER)
             sig = protocol.signal_from_singlet_order(so, eps)
             cf = protocol.closed_form_so(k, eps)
             lines.append(f"{k},{_fmt(so)},{_fmt(sig)},{_fmt(cf)}")
@@ -346,6 +354,17 @@ def _write(lines: list[str], out: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # warnings are reported after the outcome, so that the stderr of a
+    # failed run begins with its error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(argv)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = build_config(args)
@@ -353,7 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except kinetics.CalibrationError as exc:
+    except ValueError as exc:  # the engines' domain and self-checks
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     try:

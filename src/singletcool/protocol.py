@@ -221,9 +221,12 @@ def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
     The pump starts at the thermal deviation ``source``; each `Reset` maps
     delta -> source + reset @ (delta - source), so the thermal state is a
     fixed point of every reset.  `run_ideal` passes `RESET0` and the
-    kinetic engine the relaxation map of a finite interval.
+    kinetic engine the relaxation map of a finite interval, or a stack of
+    maps of shape (n, 4, 4), which pumps n intervals at once and gives
+    deviations of shape (n, 4).  The deviation is carried as a column, so
+    every product is a matrix-vector product for any n.
     """
-    delta = source
+    delta = source = source[:, None]
     out = [delta]
     for step in ProtocolSequence.for_permutation_count(n_p).steps:
         if isinstance(step, Reset):
@@ -231,7 +234,7 @@ def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
         else:
             delta = _PERM_MATRICES[step.label] @ delta
             out.append(delta)
-    return out
+    return [d[..., 0] for d in out]
 
 
 def run_ideal(n_p: int, eps: float) -> PopulationVector:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import singletcool
-from singletcool import kinetics
+from singletcool import SINGLET_ORDER, kinetics, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -93,6 +93,19 @@ class TestPumpCommand:
         assert code == EXIT_OK
         assert len(data_rows(lines)) == 13
         assert spy.call_count == 1
+
+    def test_ideal_mode_runs_one_pump(self, tmp_path, monkeypatch):
+        spy = mock.Mock(wraps=protocol._pump)
+        monkeypatch.setattr(protocol, "_pump", spy)
+        code, lines = run_cli(tmp_path, "pumpi1", "pump", "--mode", "ideal", "--np", "12")
+        assert code == EXIT_OK
+        assert spy.call_count == 1
+        eps = singletcool.epsilon(singletcool.SpinSystemParams())
+        rows = data_rows(lines)
+        assert len(rows) == 13
+        for k, row in enumerate(rows):
+            pop = singletcool.run_ideal(k, eps)
+            assert row.split(",")[1] == repr(singletcool.measure_order(pop, SINGLET_ORDER))
 
     def test_huge_singlet_lifetime_is_a_computation_failure(self, tmp_path, capsys):
         # finite but so far above t1 that the rate self-check cannot hold
@@ -356,6 +369,46 @@ class TestOutputContract:
         captured = capsys.readouterr().out.splitlines()
         assert captured[0] == "n_p,so,signal,closed_form_so"
         assert len(data_rows(captured)) == 3
+
+
+def run_python(*args):
+    """Run a fresh interpreter on the package under test."""
+    env = dict(os.environ)
+    src = str(Path(singletcool.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestProcessStderr:
+    # as a real process, warnings reach stderr; pytest captures them in process
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pump", "--mode", "ideal"],
+            ["pump", "--mode", "kinetic"],
+            ["sweep-tau", "--tau-grid", "1,28"],
+        ],
+        ids=" ".join,
+    )
+    def test_engine_domain_error_is_a_computation_failure(self, args):
+        # eps ~ 0.995 passes the eps check, but the first-order engines
+        # leave the population simplex
+        proc = run_python("-m", "singletcool.cli", *args, "--temperature", "0.0085")
+        assert proc.returncode == EXIT_COMPUTE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("computation failed:")
+        assert "Traceback" not in proc.stderr
+        # the high-temperature warning is still reported, after the error
+        assert "\nwarning: eps = 0.995 is outside" in proc.stderr
+
+    def test_config_error_comes_before_any_warning(self):
+        proc = run_python("-m", "singletcool.cli", "pump", "--temperature", "1e-25")
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error:")
+        assert "warning" not in proc.stderr.lower()
 
 
 class TestImportFootprint:

@@ -109,6 +109,16 @@ class TestFiniteReset:
         with pytest.raises(ValueError):
             finite_reset(self.rate, -1.0)
 
+    @pytest.mark.parametrize("eps", [0.0, 3e-5])
+    def test_stacked_maps_equal_scalar_maps(self, rng, eps):
+        # sweep_tau pumps the stack; each slice must be the scalar map exactly
+        k_t, k_s = self.rate.k_t, self.rate.k_s
+        for grid in ([0.0], rng.uniform(0.0, 300.0, 4), np.logspace(-4, 5, 97)):
+            stack = kinetics._relaxation_map(k_t, k_s, eps, grid)
+            assert stack.shape == (len(grid), 4, 4)
+            for tau, m in zip(grid, stack):
+                assert np.array_equal(m, kinetics._relaxation_map(k_t, k_s, eps, float(tau)))
+
     def test_semigroup(self, rng):
         for _ in range(200):
             t1, t2 = rng.uniform(0.1, 120.0, size=2)
@@ -297,6 +307,48 @@ class TestSweepTau:
     def test_nan_grid_rejected(self, default_params):
         with pytest.raises(ValueError):
             sweep_tau(6, [float("nan")], default_params)
+
+    @pytest.mark.parametrize("grid", [[-1.0], [-5.0, 0.0, 3.0], [0.0, 1.0, float("nan")]])
+    def test_negative_or_nan_entry_rejected(self, default_params, grid):
+        with pytest.raises(ValueError):
+            sweep_tau(6, grid, default_params)
+
+    @pytest.mark.filterwarnings("ignore:eps = .* outside the high-temperature regime")
+    def test_state_off_the_simplex_rejected(self):
+        # eps ~ 0.995: the first-order pump leaves the simplex at tau = 28 s
+        params = SpinSystemParams(temperature=0.0085)
+        with pytest.raises(ValueError, match="negative population"):
+            run_kinetic(6, 28.0, 0.0, params)
+        with pytest.raises(ValueError, match="negative population"):
+            sweep_tau(6, [0.0, 28.0], params)
+
+    def test_negative_count_rejected(self, default_params):
+        with pytest.raises(ValueError):
+            sweep_tau(-1, [1.0, 2.0], default_params)
+
+    # a 4-point grid at n_p = 4 would hide a pump that carries row vectors,
+    # where P @ delta is then a valid but wrong product
+    @pytest.mark.parametrize("n_p", [0, 1, 4, 7, 200])
+    @pytest.mark.parametrize(
+        "grid",
+        [[28.0], [0.0, 0.7, 28.0, 240.0], np.concatenate([[0.0], np.logspace(-3, 3.5, 319)])],
+        ids=["1pt", "4pt", "320pt"],
+    )
+    def test_points_equal_single_runs(self, default_params, n_p, grid):
+        sweep = sweep_tau(n_p, grid, default_params)
+        assert [tau for tau, _ in sweep.points] == list(grid)
+        for tau, sig in sweep.points:
+            assert sig == run_kinetic(n_p, tau, 0.0, default_params).signal
+
+    def test_one_pump_per_sweep(self, default_params, monkeypatch):
+        pump = mock.Mock(wraps=kinetics._pump)
+        run = mock.Mock(wraps=kinetics.run_kinetic)
+        monkeypatch.setattr(kinetics, "_pump", pump)
+        monkeypatch.setattr(kinetics, "run_kinetic", run)
+        sweep = sweep_tau(6, np.linspace(0.0, 240.0, 50), default_params)
+        assert len(sweep.points) == 50
+        assert pump.call_count == 1
+        assert run.call_count == 0
 
 
 class TestDecayCurve:
