@@ -53,7 +53,6 @@ from .core import (
 )
 from .protocol import (
     _PERM_MATRICES,
-    RESET0,
     THERMAL_DEVIATION,
     Permutation,
     TransferMatrix,
@@ -63,6 +62,8 @@ from .protocol import (
 )
 
 _RATE_CHECK_TOL = 1e-9
+_FIT_MAX_STEPS = 200  # Gauss-Newton steps, and halvings of each
+_FIT_RTOL = 1e-13
 
 
 class CalibrationError(ValueError):
@@ -199,7 +200,6 @@ def run_kinetic(
     *,
     enhance: bool = False,
     tau_prime: Optional[float] = None,
-    ideal_resets: bool = False,
 ) -> KineticProtocolResult:
     """Pump n_p permutations with finite resets of duration tau.
 
@@ -210,10 +210,6 @@ def run_kinetic(
     the post-pump state is additionally run through a final reset of
     duration tau_prime (defaulting to tau) and the 1<->2 population swap,
     and the resulting Zeeman order is reported in ``zo_final``.
-
-    ``ideal_resets=True`` substitutes the instantaneous ideal reset for
-    the pump and final resets (the tau_ev interval still relaxes),
-    reproducing the ideal engine exactly (consistency diagnostic).
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
@@ -228,17 +224,14 @@ def run_kinetic(
 
     # the deviation from the thermal fixed point relaxes under the eps = 0
     # generator (first order in eps)
-    def reset(interval: float) -> np.ndarray:
-        return RESET0 if ideal_resets else _relaxation_map(rate.k_t, rate.k_s, 0.0, interval)
-
-    deltas = _pump(n_p, reset(tau), source)
+    deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
     trace = tuple((k, _so_of_deviation(d)) for k, d in enumerate(deltas))
     delta = deltas[-1]
 
     zo_final: Optional[float] = None
     if enhance:
         tp = tau if tau_prime is None else tau_prime
-        delta_enh = source + reset(tp) @ (delta - source)
+        delta_enh = source + _relaxation_map(rate.k_t, rate.k_s, 0.0, tp) @ (delta - source)
         delta_enh = _PERM_MATRICES[Permutation.PI12] @ delta_enh
         zo_final = float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
 
@@ -279,6 +272,8 @@ def _check_grid(grid: Sequence[float], name: str) -> np.ndarray:
         raise ValueError(f"{name} must be nonempty")
     if arr.ndim != 1 or (arr.size > 1 and not np.all(np.diff(arr) > 0)):
         raise ValueError(f"{name} must be strictly increasing")
+    if not arr.min() >= 0.0:
+        raise ValueError(f"{name} entries must be >= 0")
     return arr
 
 
@@ -294,8 +289,6 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     grid = _check_grid(tau_grid, "tau_grid")
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
-    if not grid.min() >= 0.0:
-        raise ValueError("tau_grid entries must be >= 0")
     eps = epsilon(params)
     rate = calibrate_rates(params.t1, params.ts, eps)
     deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, grid), eps * THERMAL_DEVIATION)
@@ -319,8 +312,6 @@ def decay_curve(
 ) -> tuple[tuple[float, float], ...]:
     """Signal versus post-pump evolution interval tau_ev, from one pump."""
     grid = _check_grid(tau_ev_grid, "tau_ev_grid")
-    if not grid.min() >= 0.0:
-        raise ValueError("tau_ev_grid entries must be >= 0")
     so = run_kinetic(n_p, tau, 0.0, params).so_trace[-1][1]
     eps = epsilon(params)
     return tuple((float(tev), _detected_signal(so, eps, float(tev), params.ts)) for tev in grid)
@@ -341,51 +332,59 @@ class FitResult:
     message: str = ""
 
 
-def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
-    """Least-squares fit of y = A*exp(-t/T), no offset term.
+def _projected_fit(k: float, t: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Amplitude A(k) = (e.y)/(e.e), residual and Kaufman Jacobian of y ~ A e, e = exp(-k t)."""
+    e = np.exp(-k * t)
+    ee, te = e @ e, t * e
+    a = (e @ y) / ee
+    return a, y - a * e, a * (te - ((e @ te) / ee) * e)
 
-    The nonlinear refinement (Levenberg-Marquardt) is seeded by log-linear
-    regression on |y|.  At least 3 points with nonnegative times are
-    required.
+
+def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
+    """Least-squares fit of y = A*exp(-t/T), no offset term, by variable projection.
+
+    The linear amplitude is projected out (Golub & Pereyra 1973), and Gauss-Newton
+    with Kaufman's (1975) Jacobian runs on the rate k = 1/T alone, seeded by a
+    log-linear fit of |y|; a step that makes the residual grow is halved.  At
+    least 3 finite points with nonnegative times are required.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError("need at least 3 (t, y) points")
+    if not np.isfinite(pts).all():
+        raise ValueError("times and values must be finite")
     t, y = pts[:, 0], pts[:, 1]
     if t.min() < 0.0:
         raise ValueError("times must be nonnegative")
-
     if np.ptp(y) == 0.0:
         return FitResult(np.nan, np.nan, 0.0, ok=False, message="constant data")
+    if np.ptp(t) == 0.0:
+        return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False, "all times are equal")
 
-    # log-linear seed on the nonzero magnitudes
+    # log-linear seed on the nonzero |y|; growing data seed k < 0, flagged below
     mask = np.abs(y) > 0.0
     if mask.sum() >= 2 and np.ptp(t[mask]) > 0.0:
-        slope, intercept = np.polyfit(t[mask], np.log(np.abs(y[mask])), 1)
-        # a positive slope seeds a negative time constant on purpose: the
-        # refinement then converges there and the result is flagged below
-        t_seed = -1.0 / slope if slope != 0.0 else float(np.ptp(t))
-        a_seed = float(np.sign(y[mask][np.argmin(t[mask])]) * np.exp(intercept))
+        k = -np.polyfit(t[mask], np.log(np.abs(y[mask])), 1)[0]
     else:
-        t_seed = float(np.ptp(t)) or 1.0
-        a_seed = float(y[0]) or 1.0
+        k = 1.0 / np.ptp(t)
 
-    def model(tt, a, tc):
-        return a * np.exp(-tt / tc)
-
-    import scipy.optimize  # the only scipy use; kept off the package import path
-
-    try:
-        popt, _ = scipy.optimize.curve_fit(
-            model, t, y, p0=[a_seed, t_seed], method="lm", maxfev=10000
-        )
-    except (RuntimeError, scipy.optimize.OptimizeWarning) as exc:
-        return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), ok=False, message=str(exc))
-
-    amplitude, time_constant = float(popt[0]), float(popt[1])
-    residual = float(np.linalg.norm(y - model(t, *popt)))
-    if not np.isfinite(time_constant) or time_constant <= 0.0:
-        return FitResult(
-            amplitude, time_constant, residual, ok=False, message="nonpositive time constant"
-        )
-    return FitResult(amplitude, time_constant, residual, ok=True)
+    with np.errstate(all="ignore"):  # trial rates may overflow exp; halving rejects them
+        a, r, jac = _projected_fit(k, t, y)
+        for _ in range(_FIT_MAX_STEPS):
+            step = -(jac @ r) / (jac @ jac)
+            for _ in range(_FIT_MAX_STEPS):
+                trial = _projected_fit(k + step, t, y)
+                if trial[1] @ trial[1] <= r @ r:
+                    k, (a, r, jac) = k + step, trial
+                    break
+                step /= 2
+            # a step too small to lower the residual leaves k at a minimum to round-off
+            converged = abs(step) <= _FIT_RTOL * abs(k)
+            if converged or not np.isfinite(step):  # NaN: the model does not depend on k
+                break
+        time_constant = float(1.0 / k)
+    if not converged:
+        return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False, "fit did not converge")
+    ok = bool(np.isfinite(time_constant) and time_constant > 0.0)
+    return FitResult(float(a), time_constant, float(np.linalg.norm(r)), ok,
+                     "" if ok else "nonpositive time constant")

@@ -412,13 +412,22 @@ class TestProcessStderr:
 
 
 class TestImportFootprint:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy is only needed by the decay fit, which imports it on first use
-        env = dict(os.environ)
-        src = str(Path(singletcool.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, singletcool.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert out.strip() == "[]"
+    def test_every_command_runs_without_scipy(self):
+        # the runtime needs only numpy: each command runs with scipy unimportable
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from singletcool.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        commands = [
+            ["pump"],
+            ["sweep-tau", "--tau-grid", "5,28,100"],
+            ["decay", "--tau-ev-grid", "0,50,100,200,400"],
+            ["enhance"],
+            ["coherent-check", "--n-steps", "600"],
+        ]
+        for args in commands:
+            proc = run_python("-c", code, *args)
+            assert proc.returncode == EXIT_OK, (args, proc.stderr)
+            assert proc.stderr == "", args
+            if args[0] == "decay":
+                assert proc.stdout.splitlines()[-1].endswith("status = ok")

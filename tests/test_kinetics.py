@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from singletcool import (
     unitary_max_order,
     zeeman_enhancement_ratio,
 )
+from singletcool.protocol import THERMAL_DEVIATION, _pump
 
 # engine regression values at the reference parameters
 # (T1 = 7.36 s, TS = 214 s, tau = 28 s, tau' = 18 s, n_p = 6)
@@ -176,12 +178,13 @@ class TestFiniteReset:
 
 class TestRunKinetic:
     def test_ideal_reset_limit_reproduces_ideal_engine(self, default_params):
+        # (e^{-k_S tau}, e^{-(k_T+k_S) tau}) = (1, 0) turns the relaxation
+        # map into the ideal reset, and the kinetic pump into the ideal one
         eps = epsilon(default_params)
+        ideal_limit = kinetics._relaxation_map(1e3, 0.0, 0.0, 1.0)
         for n in (0, 1, 2, 5, 8):
-            res = run_kinetic(n, 28.0, 0.0, default_params, ideal_resets=True)
-            np.testing.assert_allclose(
-                res.populations_after_pump.p, run_ideal(n, eps).p, atol=1e-16
-            )
+            pumped = 0.25 + _pump(n, ideal_limit, eps * THERMAL_DEVIATION)[-1]
+            np.testing.assert_allclose(pumped, run_ideal(n, eps).p, atol=1e-16)
 
     def test_reference_signal_frozen(self, default_params):
         res = run_kinetic(6, 28.0, 0.0, default_params)
@@ -408,6 +411,33 @@ class TestDecayCurve:
                 assert abs((mp.mpf(sig) - exact) / exact) < 1e-14
 
 
+def noisy_decay(seed, noise):
+    """Seeded +-exp(-t/209) on 3-39 even or random times in [0, 600], plus noise."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    t = np.sort(rng.uniform(0.0, 600.0, n)) if seed % 2 else np.linspace(0.0, 600.0, n)
+    return t, rng.choice([-1.0, 1.0]) * np.exp(-t / 209.0) + noise * rng.standard_normal(n)
+
+
+def curve_fit_reference(t, y):
+    """(ok, residual norm) of Levenberg-Marquardt on (A, T) from the log-linear seed."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+
+    def model(tt, a, tc):
+        return a * np.exp(-tt / tc)
+
+    mask = np.abs(y) > 0.0
+    slope, intercept = np.polyfit(t[mask], np.log(np.abs(y[mask])), 1)
+    p0 = [np.sign(y[mask][0]) * np.exp(intercept), -1.0 / slope]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (a, tc), _ = scipy_optimize.curve_fit(model, t, y, p0=p0, method="lm", maxfev=10000)
+    except RuntimeError:
+        return False, np.inf
+    return bool(np.isfinite(tc) and tc > 0.0), np.linalg.norm(y - model(t, a, tc))
+
+
 class TestFitMonoexponential:
     def test_noiseless_round_trip(self):
         t = np.linspace(0.0, 600.0, 20)
@@ -449,6 +479,48 @@ class TestFitMonoexponential:
         y = np.exp(t / 5.0)
         fit = fit_monoexponential(list(zip(t, y)))
         assert not fit.ok
+
+    @pytest.mark.parametrize("t0", [0.0, 5.0])
+    def test_equal_times_is_a_failure_status(self, t0):
+        # T is not identifiable without a spread of times
+        fit = fit_monoexponential([(t0, 1.0), (t0, 0.5), (t0, 0.2)])
+        assert not fit.ok
+        assert "times" in fit.message
+
+    def test_unidentifiable_rate_is_a_failure_status(self):
+        # any fast enough decay fits a single nonzero point exactly
+        fit = fit_monoexponential([(0.0, 1.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
+        assert not fit.ok
+        assert fit.message
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_input_rejected(self, column, bad):
+        points = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25]]
+        points[1][column] = bad
+        with pytest.raises(ValueError):
+            fit_monoexponential(points)
+
+    @pytest.mark.parametrize("noise", [0.01, 0.1])
+    def test_residual_no_worse_than_scipy_curve_fit(self, noise):
+        # oracle: wherever Levenberg-Marquardt on (A, T) succeeds, the
+        # projected fit reaches at least as small a residual
+        for seed in range(100):
+            t, y = noisy_decay(seed, noise)
+            fit = fit_monoexponential(list(zip(t, y)))
+            ref_ok, ref_residual = curve_fit_reference(t, y)
+            if ref_ok:
+                assert fit.residual_norm <= ref_residual * (1.0 + 1e-9), seed
+            if noise == 0.01:
+                assert fit.ok == ref_ok, seed
+
+    def test_step_halving_keeps_a_noisy_fit_on_course(self):
+        # 30 % noise: the full Gauss-Newton steps overshoot to a negative rate
+        t, y = noisy_decay(324, 0.3)
+        fit = fit_monoexponential(list(zip(t, y)))
+        ref_ok, ref_residual = curve_fit_reference(t, y)
+        assert fit.ok and ref_ok
+        assert fit.residual_norm <= ref_residual * (1.0 + 1e-9)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
