@@ -316,6 +316,23 @@ def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
+#: Largest step error of a reported fidelity that passes without a warning.
+FIDELITY_STEP_TOL = 1e-5
+
+
+def _fidelity_step_error(
+    kind: protocol.Permutation, params: SpinSystemParams, n_steps: int, fidelity: float
+) -> float:
+    """Richardson estimate of the midpoint-rule error of ``fidelity``.
+
+    The rule is second order, so a run at m ~ n/2 steps (2 for n = 1) gives
+    |F(n) - F(m)| / |(n/m)^2 - 1|, which is |F(n) - F(n/2)| / 3 for even n.
+    """
+    m = 2 if n_steps == 1 else math.ceil(n_steps / 2)
+    _, other = coherent.simulate_permutation(kind, params, n_steps=m)
+    return abs(fidelity - other) / abs((n_steps / m) ** 2 - 1.0)
+
+
 def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
     params = config.spin_params()
     lines = ["section,x,y"]
@@ -324,9 +341,16 @@ def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
         lines.append(f"ab_line,{_fmt(freq)},{_fmt(intensity)}")
     freqs = sorted(freq for freq, _ in spectrum)
     lines.append(f"inner_splitting_hz,,{_fmt(freqs[2] - freqs[1])}")
+    step_error = 0.0
     for kind in (protocol.Permutation.PI124, protocol.Permutation.PI142):
         _, fidelity = coherent.simulate_permutation(kind, params, n_steps=config.n_steps)
         lines.append(f"fidelity_{kind.value},,{_fmt(fidelity)}")
+        step_error = max(step_error, _fidelity_step_error(kind, params, config.n_steps, fidelity))
+    if step_error > FIDELITY_STEP_TOL:
+        warnings.warn(
+            f"fidelity step error estimate {step_error:.1e} exceeds {FIDELITY_STEP_TOL:.0e} "
+            f"at n-steps = {config.n_steps}; use a larger --n-steps"
+        )
     for scale in np.linspace(0.7, 1.3, 13):
         overlap = coherent.magnetization_overlap(
             coherent.composite_pulse_propagator(+1, float(scale)), +1

@@ -52,9 +52,13 @@ HERMITICITY_TOL = 1e-12
 #: nutation period).
 DEFAULT_PULSE_STEPS = 20000
 
-#: Steps diagonalised and multiplied per batch in `propagate`; bounds the
-#: working memory to a few MB whatever the step count.
-_BLOCK_STEPS = 2048
+#: Steps exponentiated and multiplied per batch in `propagate`; bounds the
+#: working memory (a few (n, 8, 8) float stacks) to a few MB whatever the
+#: step count.
+_BLOCK_STEPS = 1024
+
+#: Unit round-off of float64, the target of the Taylor remainder bound.
+_UNIT_ROUNDOFF = 2.0**-53
 
 _SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -255,11 +259,55 @@ class Propagator:
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """steps[-1] @ ... @ steps[0] of an (n, 4, 4) stack, as a pairwise tree."""
+    """steps[-1] @ ... @ steps[0] of an (n, d, d) stack, as a pairwise tree."""
     while len(steps) > 1:
         even = len(steps) - len(steps) % 2
         steps = np.concatenate([steps[1:even:2] @ steps[0:even:2], steps[even:]])
     return steps[0]
+
+
+def _taylor_degree(theta: float) -> int:
+    """Smallest q >= 1 whose Taylor remainder sum_{j>q} theta^j/j! is below round-off.
+
+    The tail is bounded by its first term times the geometric factor
+    1/(1 - theta/(q+2)); theta must be at most 1.
+    """
+    q, term = 1, theta * theta / 2.0  # term = theta^(q+1)/(q+1)!
+    while term > _UNIT_ROUNDOFF * (1.0 - theta / (q + 2)):
+        q += 1
+        term *= theta / (q + 1)
+    return q
+
+
+def _step_exponentials(h: np.ndarray, dt: float, h_norms: np.ndarray) -> np.ndarray:
+    """exp(-i h dt) of an (m, 4, 4) Hermitian stack by matrix products alone.
+
+    Each z = -i h dt is carried in the real 8x8 form [[Re z, -Im z],
+    [Im z, Re z]], whose Frobenius norm is sqrt(2)*|h|_F*|dt|; ``h_norms``
+    are the |h|_F.  A Taylor polynomial of the degree `_taylor_degree`
+    picks for the largest norm is evaluated by Horner; norms above 1 are
+    first halved s times and the result squared back.  Returns the (m, 8, 8)
+    real forms: U = u[:4, :4] + 1j*u[4:, :4].
+    """
+    m = len(h)
+    theta = math.sqrt(2.0) * abs(dt) * float(h_norms.max())
+    s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+    scaled_dt = dt / 2.0**s
+    z = np.empty((m, 8, 8))
+    z[:, :4, :4] = z[:, 4:, 4:] = scaled_dt * h.imag
+    z[:, :4, 4:] = scaled_dt * h.real
+    z[:, 4:, :4] = -z[:, :4, 4:]
+    q = _taylor_degree(theta / 2.0**s)
+    # Horner, c_0 + z (c_1 + z (... + z c_q)) with c_j = 1/j!; each c_j is
+    # added to the diagonal alone
+    p = z / math.factorial(q)
+    for j in range(q - 1, -1, -1):
+        p.reshape(m, 64)[:, ::9] += 1.0 / math.factorial(j)
+        if j:
+            p = z @ p
+    for _ in range(s):
+        p = p @ p
+    return p
 
 
 def _midpoint_propagator(
@@ -271,7 +319,7 @@ def _midpoint_propagator(
 
     ``hamiltonians_at`` maps an array of m midpoint times to an (m, 4, 4)
     stack of Hamiltonians; it is called on blocks of at most `_BLOCK_STEPS`
-    consecutive steps.
+    consecutive steps.  The running product is kept in real 8x8 form.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -279,18 +327,16 @@ def _midpoint_propagator(
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t_span must be finite, got {t_span!r}")
     dt = (t1 - t0) / n_steps
-    u = np.eye(4, dtype=complex)
+    u = np.eye(8)  # real form of the running product
     for start in range(0, n_steps, _BLOCK_STEPS):
         k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
         h = hamiltonians_at(t0 + (k + 0.5) * dt)
         defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
-        scale = np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1)))
-        if not np.all(defect <= HERMITICITY_TOL * scale):
+        norms = np.linalg.norm(h, axis=(-2, -1))
+        if not np.all(defect <= HERMITICITY_TOL * np.maximum(1.0, norms)):
             raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
-        w, v = np.linalg.eigh(h)
-        steps = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        u = _ordered_product(steps) @ u
-    return Propagator(u)
+        u = _ordered_product(_step_exponentials(h, dt, norms)) @ u
+    return Propagator(u[:4, :4] + 1j * u[4:, :4])
 
 
 def propagate(
@@ -303,10 +349,11 @@ def propagate(
     U = prod_k exp(-i H(t_mid,k) dt), latest factor leftmost, with
     t_mid,k = t0 + (k + 0.5) dt.  Second-order accurate in the step size for
     smooth H(t).  The steps are processed in blocks of `_BLOCK_STEPS`: each
-    block's Hamiltonians are checked for Hermiticity, diagonalised in one
-    batched ``eigh`` and their exponentials multiplied as a pairwise tree,
-    so memory stays bounded whatever ``n_steps`` is.  The blocked product
-    differs from a step-by-step one only by round-off.
+    block's Hamiltonians are checked for Hermiticity, exponentiated together
+    by a Taylor polynomial in real 8x8 form (`_step_exponentials`, matrix
+    products only) and multiplied as a pairwise tree, so memory stays
+    bounded whatever ``n_steps`` is.  The result differs from a step-by-step
+    product of exact exponentials only by round-off.
     """
 
     def hamiltonians_at(times: np.ndarray) -> np.ndarray:

@@ -322,7 +322,8 @@ class FitResult:
     """Monoexponential fit y = A*exp(-t/T) with a success flag.
 
     ``ok`` is False (rather than raising) for degenerate data, fits that
-    do not converge, or a nonpositive fitted time constant.
+    do not converge, a rate the data cannot pin down (every more extreme
+    rate fits as well), or a nonpositive fitted time constant.
     """
 
     amplitude: float
@@ -345,8 +346,10 @@ def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
 
     The linear amplitude is projected out (Golub & Pereyra 1973), and Gauss-Newton
     with Kaufman's (1975) Jacobian runs on the rate k = 1/T alone, seeded by a
-    log-linear fit of |y|; a step that makes the residual grow is halved.  At
-    least 3 finite points with nonnegative times are required.
+    log-linear fit of |y|; a step that makes the residual grow is halved.  Once
+    the gradient changes sign between two rates, the secant step of the gradient
+    replaces the Gauss-Newton one, which can overshoot on noisy data.  At least
+    3 finite points with nonnegative times are required.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -370,8 +373,15 @@ def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
 
     with np.errstate(all="ignore"):  # trial rates may overflow exp; halving rejects them
         a, r, jac = _projected_fit(k, t, y)
+        k_prev = grad_prev = None
         for _ in range(_FIT_MAX_STEPS):
-            step = -(jac @ r) / (jac @ jac)
+            grad = jac @ r  # the exact gradient of |r|^2/2 in k
+            step = -grad / (jac @ jac)
+            if grad_prev is not None and grad * grad_prev < 0.0:
+                # the Gauss-Newton steps changed sign, so a minimum lies between
+                # the last two rates; the secant step of the gradient stays there
+                step = -grad * (k - k_prev) / (grad - grad_prev)
+            k_prev, grad_prev = k, grad
             for _ in range(_FIT_MAX_STEPS):
                 trial = _projected_fit(k + step, t, y)
                 if trial[1] @ trial[1] <= r @ r:
@@ -380,9 +390,12 @@ def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
                 step /= 2
             # a step too small to lower the residual leaves k at a minimum to round-off
             converged = abs(step) <= _FIT_RTOL * abs(k)
-            if converged or not np.isfinite(step):  # NaN: the model does not depend on k
+            if converged or not np.isfinite(step):
                 break
         time_constant = float(1.0 / k)
+    if not np.isfinite(step):
+        # the model no longer depends on k: every rate as extreme fits as well
+        return FitResult(np.nan, np.nan, float(np.linalg.norm(r)), False, "rate not identifiable")
     if not converged:
         return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False, "fit did not converge")
     ok = bool(np.isfinite(time_constant) and time_constant > 0.0)

@@ -411,6 +411,30 @@ class TestProcessStderr:
         assert "warning" not in proc.stderr.lower()
 
 
+class TestCoherentCheckStepError:
+    # the fidelities are checked against a run at about half the steps
+
+    def test_one_step_warns_but_keeps_rows_and_exit_code(self):
+        proc = run_python("-m", "singletcool.cli", "coherent-check", "--n-steps", "1")
+        assert proc.returncode == EXIT_OK
+        fidelities = [ln for ln in proc.stdout.splitlines() if ln.startswith("fidelity_")]
+        assert len(fidelities) == 2
+        assert all(float(ln.split(",")[2]) < 0.1 for ln in fidelities)
+        (warning,) = proc.stderr.splitlines()
+        assert warning.startswith("warning: fidelity step error estimate")
+        assert "--n-steps" in warning
+        estimate = float(warning.split("estimate ")[1].split()[0])
+        assert estimate > 0.1  # the converged fidelity is 0.708
+
+    def test_default_steps_give_no_warning(self):
+        proc = run_python("-m", "singletcool.cli", "coherent-check")
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        fidelities = [ln for ln in proc.stdout.splitlines() if ln.startswith("fidelity_")]
+        assert all(float(ln.split(",")[2]) == pytest.approx(0.7081651662, rel=1e-9)
+                   for ln in fidelities)
+
+
 class TestImportFootprint:
     def test_every_command_runs_without_scipy(self):
         # the runtime needs only numpy: each command runs with scipy unimportable

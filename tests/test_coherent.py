@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from singletcool import Permutation, SpinSystemParams, permutation_matrix
+from singletcool import Permutation, SpinSystemParams, coherent, permutation_matrix
 from singletcool.coherent import (
     CARRIER_OFFSETS,
     PulseShape,
@@ -300,7 +302,10 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), dtype=complex), (0.0, 1.0), 0)
 
-    @pytest.mark.parametrize("n_steps", [1, 2047, 2048, 2 * 2048 + 1])
+    @pytest.mark.parametrize(
+        "n_steps",
+        [1, coherent._BLOCK_STEPS - 1, coherent._BLOCK_STEPS, 2 * coherent._BLOCK_STEPS + 1],
+    )
     def test_matches_sequential_step_product(self, default_params, n_steps):
         # the blocked, batched product against the plain step-by-step loop,
         # on either side of the block edges
@@ -321,15 +326,30 @@ class TestPropagate:
         np.testing.assert_allclose(u.u, expected, rtol=0, atol=1e-12)
 
     def test_rejects_non_hermitian_step_in_second_block(self):
-        # steps are unit-spaced in time, so t > 2050 lands inside the second block
+        # steps are unit-spaced in time, so t > block + 2 lands inside the second block
+        block = coherent._BLOCK_STEPS
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0
 
         def h_of_t(t):
-            return bad if t > 2050.0 else np.zeros((4, 4), dtype=complex)
+            return bad if t > block + 2.0 else np.zeros((4, 4), dtype=complex)
 
         with pytest.raises(ValueError, match="non-Hermitian"):
-            propagate(h_of_t, (0.0, 3000.0), 3000)
+            propagate(h_of_t, (0.0, 1.5 * block), int(1.5 * block))
+
+    def test_calls_no_eigendecomposition(self, default_params, monkeypatch):
+        # every step is exponentiated by matrix products alone
+        h = free_hamiltonian(default_params, offset_hz=10.0)
+        w, v = np.linalg.eigh(h)
+        exact = (v * np.exp(-1j * w * 0.05)) @ v.conj().T
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("propagate called np.linalg.eigh")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", no_eigh)
+            u = propagate(lambda t: h, (0.0, 0.05), 40)
+        np.testing.assert_allclose(u.u, exact, atol=1e-12)
 
     def test_rejects_nan_hamiltonian(self):
         with pytest.raises(ValueError, match="non-Hermitian"):
@@ -343,6 +363,35 @@ class TestPropagate:
     def test_rejects_wrong_shape_hamiltonian(self):
         with pytest.raises(ValueError, match=r"\(2, 2\)"):
             propagate(lambda t: np.zeros((2, 2)), (0.0, 1.0), 4)
+
+
+class TestStepExponentials:
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-2, 0.5, 3.0, 1e3])
+    def test_matches_scipy_expm(self, norm):
+        # the Taylor and scaling-and-squaring exponential against an
+        # independent Pade expm, from the degree-1 polynomial (norm 1e-8)
+        # through the squaring branch (norms above 1)
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(int(norm * 1e3) + 11)
+        x = rng.standard_normal((32, 4, 4)) + 1j * rng.standard_normal((32, 4, 4))
+        h = x + x.conj().swapaxes(-1, -2)
+        dt = -0.25  # a negative step runs the evolution backwards
+        h *= (norm / abs(dt) / np.linalg.norm(h, axis=(-2, -1)))[:, None, None]
+        real = coherent._step_exponentials(h, dt, np.linalg.norm(h, axis=(-2, -1)))
+        expected = np.array([expm(-1j * hk * dt) for hk in h])
+        atol = 1e-13 * max(1.0, norm)
+        np.testing.assert_allclose(real[:, :4, :4] + 1j * real[:, 4:, :4], expected, rtol=0, atol=atol)
+        # the result keeps the real form [[Re U, -Im U], [Im U, Re U]]
+        np.testing.assert_allclose(real[:, 4:, 4:], real[:, :4, :4], rtol=0, atol=atol)
+        np.testing.assert_allclose(real[:, :4, 4:], -real[:, 4:, :4], rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.02, 0.05, 0.5, 1.0])
+    def test_degree_bounds_the_taylor_remainder(self, theta):
+        q = coherent._taylor_degree(theta)
+        remainder = sum(theta**j / math.factorial(j) for j in range(q + 1, q + 40))
+        assert remainder <= 2.0**-53
+        if q > 1:  # the smallest degree that meets the documented tail bound
+            assert theta**q / math.factorial(q) > 2.0**-53 * (1.0 - theta / (q + 1))
 
 
 class TestPropagator:
@@ -460,6 +509,27 @@ class TestSimulatePermutation:
         u_total = composite_pulse_propagator(sign=+1) @ u_pulse
         v = spin_operators().product_to_st
         expected = np.abs(v.conj().T @ u_total.u @ v) ** 2
+        tm, fid = simulate_permutation(kind, default_params, shape=shape, n_steps=n_steps)
+        np.testing.assert_allclose(tm.m, expected, rtol=0, atol=1e-12)
+        target = permutation_matrix(kind).m
+        assert fid == pytest.approx(np.trace(target.T @ expected) / 4.0, abs=1e-12)
+
+    def test_complex_hamiltonian_against_step_by_step_eigh(self, default_params):
+        # an rf phase off the x axis makes every step Hamiltonian complex
+        kind = Permutation.PI124
+        shape = PulseShape.default(offset_hz=CARRIER_OFFSETS[kind], phase=0.7)
+        ops = spin_operators()
+        h0 = free_hamiltonian(default_params, offset_hz=-shape.offset_hz)
+        axis = (ops.i1x + ops.i2x) * np.cos(0.7) + (ops.i1y + ops.i2y) * np.sin(0.7)
+        n_steps = 1500
+        dt = shape.duration / n_steps
+        u = np.eye(4, dtype=complex)
+        for k in range(n_steps):
+            w, v = np.linalg.eigh(h0 + apsoc_waveform(shape, (k + 0.5) * dt) * axis)
+            u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
+        v = spin_operators().product_to_st
+        u_total = composite_pulse_propagator(sign=+1).u @ u
+        expected = np.abs(v.conj().T @ u_total @ v) ** 2
         tm, fid = simulate_permutation(kind, default_params, shape=shape, n_steps=n_steps)
         np.testing.assert_allclose(tm.m, expected, rtol=0, atol=1e-12)
         target = permutation_matrix(kind).m

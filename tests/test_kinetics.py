@@ -501,7 +501,7 @@ class TestFitMonoexponential:
         with pytest.raises(ValueError):
             fit_monoexponential(points)
 
-    @pytest.mark.parametrize("noise", [0.01, 0.1])
+    @pytest.mark.parametrize("noise", [0.01, 0.1, 0.3])
     def test_residual_no_worse_than_scipy_curve_fit(self, noise):
         # oracle: wherever Levenberg-Marquardt on (A, T) succeeds, the
         # projected fit reaches at least as small a residual
@@ -521,6 +521,15 @@ class TestFitMonoexponential:
         ref_ok, ref_residual = curve_fit_reference(t, y)
         assert fit.ok and ref_ok
         assert fit.residual_norm <= ref_residual * (1.0 + 1e-9)
+
+    def test_rate_beyond_the_sampling_is_not_identifiable(self):
+        # 5 points: the best fit decays before the second sample, so every
+        # faster rate fits as well; the residual reached is still reported
+        t, y = noisy_decay(34, 0.3)
+        fit = fit_monoexponential(list(zip(t, y)))
+        assert not fit.ok
+        assert fit.message == "rate not identifiable"
+        assert fit.residual_norm == pytest.approx(np.linalg.norm(y[1:]), rel=1e-12)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
