@@ -42,9 +42,6 @@ from .kinetics import (
 )
 from .protocol import (
     Permutation,
-    Permute,
-    ProtocolSequence,
-    Reset,
     TransferMatrix,
     closed_form_so,
     cycle_matrix,
@@ -74,9 +71,6 @@ __all__ = [
     "thermal_populations",
     "unitary_max_order",
     "Permutation",
-    "Permute",
-    "ProtocolSequence",
-    "Reset",
     "TransferMatrix",
     "closed_form_so",
     "cycle_matrix",

@@ -79,12 +79,17 @@ class RunConfig:
             raise ConfigError("n-steps must be >= 1")
         for name in ("tau_grid", "tau_ev_grid"):
             grid = getattr(self, name)
-            if grid is not None and not all(math.isfinite(x) for x in grid):
-                raise ConfigError(f"{name.replace('_', '-')} entries must be finite")
-            if grid is not None and len(grid) > 1 and not all(
-                b > a for a, b in zip(grid, grid[1:])
-            ):
-                raise ConfigError(f"{name.replace('_', '-')} must be strictly increasing")
+            if grid is None:
+                continue
+            flag = name.replace("_", "-")
+            if not grid:
+                raise ConfigError(f"{flag} must be nonempty")
+            if not all(math.isfinite(x) for x in grid):
+                raise ConfigError(f"{flag} entries must be finite")
+            if not all(b > a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"{flag} must be strictly increasing")
+            if grid[0] < 0.0:
+                raise ConfigError(f"{flag} entries must be >= 0")
         try:
             self.spin_params()
         except ValueError as exc:

@@ -357,13 +357,12 @@ def propagate(
     """
 
     def hamiltonians_at(times: np.ndarray) -> np.ndarray:
-        stack = []
-        for t in times.tolist():
-            h = np.asarray(hamiltonian_of_t(t))
-            if h.shape != (4, 4):
-                raise ValueError(f"hamiltonian_of_t must return a 4x4 matrix, got shape {h.shape}")
-            stack.append(h)
-        return np.array(stack)
+        stack = np.array([hamiltonian_of_t(t) for t in times.tolist()])
+        if stack.shape[1:] != (4, 4):
+            raise ValueError(
+                f"hamiltonian_of_t must return a 4x4 matrix, got shape {stack.shape[1:]}"
+            )
+        return stack
 
     return _midpoint_propagator(hamiltonians_at, t_span, n_steps)
 

@@ -21,7 +21,7 @@ and I - Theta, and a relaxation interval of duration tau is exactly
 tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet
 reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
 (1, 0), its T1 << tau << TS limit, and both engines share one pump loop
-(`protocol._pump`).
+(`protocol._pump`) and one enhancement stage (`protocol._enhance`).
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
@@ -52,10 +52,9 @@ from .core import (
     epsilon,
 )
 from .protocol import (
-    _PERM_MATRICES,
     THERMAL_DEVIATION,
-    Permutation,
     TransferMatrix,
+    _enhance,
     _pump,
     _reset_matrix,
     signal_from_singlet_order,
@@ -211,8 +210,6 @@ def run_kinetic(
     duration tau_prime (defaulting to tau) and the 1<->2 population swap,
     and the resulting Zeeman order is reported in ``zo_final``.
     """
-    if n_p < 0:
-        raise ValueError(f"n_p must be >= 0, got {n_p}")
     if not (tau >= 0.0 and tau_ev >= 0.0):
         raise ValueError("tau and tau_ev must be >= 0")
     if tau_prime is not None and not tau_prime >= 0.0:
@@ -231,8 +228,7 @@ def run_kinetic(
     zo_final: Optional[float] = None
     if enhance:
         tp = tau if tau_prime is None else tau_prime
-        delta_enh = source + _relaxation_map(rate.k_t, rate.k_s, 0.0, tp) @ (delta - source)
-        delta_enh = _PERM_MATRICES[Permutation.PI12] @ delta_enh
+        delta_enh = _enhance(delta, _relaxation_map(rate.k_t, rate.k_s, 0.0, tp), source)
         zo_final = float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
 
     return KineticProtocolResult(
@@ -287,8 +283,6 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     magnitude.
     """
     grid = _check_grid(tau_grid, "tau_grid")
-    if n_p < 0:
-        raise ValueError(f"n_p must be >= 0, got {n_p}")
     eps = epsilon(params)
     rate = calibrate_rates(params.t1, params.ts, eps)
     deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, grid), eps * THERMAL_DEVIATION)

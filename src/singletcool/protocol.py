@@ -13,8 +13,12 @@ A pump of n_p permutations is the step sequence
     even n_p:  (Theta, pi_124, Theta, pi_142) repeated n_p/2 times
     odd  n_p:  the even sequence for n_p-1, then (Theta, pi_124)
 
-read left to right in chronological order.  Applied to thermal equilibrium
-the singlet order after n_p permutations is
+read left to right in chronological order; the enhancement stage is one
+more Theta followed by the 1<->2 swap pi_12.  The ideal and kinetic engines
+share one pump loop (`_pump`) and one enhancement stage (`_enhance`): the
+ideal engine passes Theta, the kinetic one the relaxation map of a finite
+interval.  Applied to thermal equilibrium the singlet order after n_p
+permutations is
 
     SO(n_p) = (-1)^n_p * (eps*sqrt(3)/4) * (1 - 3^-n_p)
 
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -168,73 +171,35 @@ def cycle_matrix(eps: float) -> TransferMatrix:
     return TransferMatrix(m, label=f"cycle(eps={eps!r})")
 
 
-@dataclass(frozen=True)
-class Permute:
-    label: Permutation
-
-
-@dataclass(frozen=True)
-class Reset:
-    pass
-
-
-Step = Union[Permute, Reset]
-
-
-@dataclass(frozen=True)
-class ProtocolSequence:
-    """Ordered protocol steps, chronological (first element acts first)."""
-
-    steps: tuple[Step, ...]
-
-    @classmethod
-    def for_permutation_count(cls, n_p: int) -> "ProtocolSequence":
-        """Parity-aware pump sequence for n_p permutations.
-
-        Even n_p emits n_p/2 copies of the cycle (Reset, pi124, Reset,
-        pi142); odd n_p emits the even sequence for n_p - 1 followed by
-        (Reset, pi124).
-        """
-        if n_p < 0:
-            raise ValueError(f"n_p must be >= 0, got {n_p}")
-        steps: list[Step] = []
-        for _ in range(n_p // 2):
-            steps += [Reset(), Permute(Permutation.PI124), Reset(), Permute(Permutation.PI142)]
-        if n_p % 2:
-            steps += [Reset(), Permute(Permutation.PI124)]
-        return cls(tuple(steps))
-
-
-def reset_deviation(delta: np.ndarray, eps: float) -> np.ndarray:
-    """First-order action of the triplet reset on a deviation from uniform.
-
-    The eps-linear part of Theta(eps) applied to p = u/4 + delta is
-    Theta(0) @ delta plus the thermal-shape injection eps*(0,1,0,-1)/4;
-    the eps*delta cross term is second order and dropped.
-    """
-    return RESET0 @ delta + eps * THERMAL_DEVIATION
+#: The pump's permutations, applied in turn: pi_124 first.
+_CYCLE = (_PERM_MATRICES[Permutation.PI124], _PERM_MATRICES[Permutation.PI142])
 
 
 def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
     """Deviations from uniform after 0..n_p pump permutations from thermal.
 
-    The pump starts at the thermal deviation ``source``; each `Reset` maps
-    delta -> source + reset @ (delta - source), so the thermal state is a
-    fixed point of every reset.  `run_ideal` passes `RESET0` and the
-    kinetic engine the relaxation map of a finite interval, or a stack of
-    maps of shape (n, 4, 4), which pumps n intervals at once and gives
-    deviations of shape (n, 4).  The deviation is carried as a column, so
-    every product is a matrix-vector product for any n.
+    The steps are those of the module docstring.  The pump starts at the
+    thermal deviation ``source``; each reset maps delta -> source + reset @
+    (delta - source), so the thermal state is a fixed point of every reset.
+    `run_ideal` passes `RESET0` and the kinetic engine the relaxation map of
+    a finite interval, or a stack of maps of shape (n, 4, 4), which pumps n
+    intervals at once and gives deviations of shape (n, 4).  The deviation
+    is carried as a column, so every product is a matrix-vector product for
+    any n.
     """
+    if n_p < 0:
+        raise ValueError(f"n_p must be >= 0, got {n_p}")
     delta = source = source[:, None]
     out = [delta]
-    for step in ProtocolSequence.for_permutation_count(n_p).steps:
-        if isinstance(step, Reset):
-            delta = source + reset @ (delta - source)
-        else:
-            delta = _PERM_MATRICES[step.label] @ delta
-            out.append(delta)
+    for k in range(n_p):
+        delta = _CYCLE[k % 2] @ (source + reset @ (delta - source))
+        out.append(delta)
     return [d[..., 0] for d in out]
+
+
+def _enhance(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """The enhancement stage on a deviation: one more reset, then pi_12."""
+    return _PERM_MATRICES[Permutation.PI12] @ (source + reset @ (delta - source))
 
 
 def run_ideal(n_p: int, eps: float) -> PopulationVector:
@@ -245,8 +210,6 @@ def run_ideal(n_p: int, eps: float) -> PopulationVector:
     reproduces `closed_form_so(n_p, eps)` to machine precision for every
     n_p.
     """
-    if n_p < 0:
-        raise ValueError(f"n_p must be >= 0, got {n_p}")
     if abs(eps) >= 1.0:
         raise ValueError(f"|eps| = {abs(eps)} >= 1")
     return PopulationVector(0.25 + _pump(n_p, RESET0, eps * THERMAL_DEVIATION)[-1])
@@ -280,10 +243,7 @@ def enhance_zeeman(p_ss: PopulationVector, eps: float) -> PopulationVector:
     the thermal Zeeman order; intended for even-n_p states (not checked).
     First-order semantics, like `run_ideal`.
     """
-    delta = p_ss.p - 0.25
-    delta = reset_deviation(delta, eps)
-    delta = _PERM_MATRICES[Permutation.PI12] @ delta
-    return PopulationVector(0.25 + delta)
+    return PopulationVector(0.25 + _enhance(p_ss.p - 0.25, RESET0, eps * THERMAL_DEVIATION))
 
 
 def ideal_signal(n_p: int, eps: float) -> float:

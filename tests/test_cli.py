@@ -295,6 +295,10 @@ class TestConfigHandling:
             ["pump", "--b0", "nan"],
             ["pump", "--tau-ev", "inf"],
             ["sweep-tau", "--tau-grid", "nan"],
+            # grids out of the engines' domain are config errors, too
+            ["sweep-tau", "--tau-grid=-1,2"],
+            ["decay", "--tau-ev-grid=-5,0,10"],
+            ["sweep-tau", "--tau-grid=,"],
         ],
         ids=" ".join,
     )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import singletcool
 from singletcool import (
     GAMMA_13C,
     SINGLET_ORDER,
@@ -218,3 +219,11 @@ class TestUnitaryMaxOrder:
         for perm in itertools.permutations(range(4)):
             value = measure_order(PopulationVector(arr[list(perm)]), SINGLET_ORDER)
             assert abs(value) <= bound + 1e-16
+
+
+class TestPackageExports:
+    def test_every_export_resolves_once(self):
+        names = singletcool.__all__
+        assert len(names) == len(set(names))
+        missing = [name for name in names if not hasattr(singletcool, name)]
+        assert missing == []

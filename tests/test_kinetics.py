@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from singletcool import kinetics
 from singletcool import (
     SINGLET_ORDER,
+    Permutation,
     PopulationVector,
     SpinSystemParams,
     calibrate_rates,
@@ -18,6 +19,7 @@ from singletcool import (
     finite_reset,
     fit_monoexponential,
     measure_order,
+    permutation_matrix,
     run_ideal,
     run_kinetic,
     signal_from_singlet_order,
@@ -576,16 +578,12 @@ class TestExactMatrixOracle:
     def _exact_signal(n_p, tau, t1, ts, eps):
         import scipy.linalg
 
-        from singletcool.protocol import _PERM_MATRICES, Permute, ProtocolSequence, Reset
-
         rate = calibrate_rates(t1, ts, eps)
         reset = scipy.linalg.expm(rate.r * tau)
+        cycle = [permutation_matrix(Permutation.PI124).m, permutation_matrix(Permutation.PI142).m]
         p = thermal_populations(eps).p
-        for step in ProtocolSequence.for_permutation_count(n_p).steps:
-            if isinstance(step, Reset):
-                p = reset @ p
-            elif isinstance(step, Permute):
-                p = _PERM_MATRICES[step.label] @ p
+        for k in range(n_p):  # reset, then pi124 and pi142 in turn
+            p = cycle[k % 2] @ (reset @ p)
         so = measure_order(PopulationVector(p), SINGLET_ORDER)
         return signal_from_singlet_order(so, eps)
 

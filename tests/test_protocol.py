@@ -5,13 +5,12 @@ from singletcool import (
     SINGLET_ORDER,
     ZEEMAN_ORDER,
     Permutation,
-    Permute,
     PopulationVector,
-    ProtocolSequence,
-    Reset,
+    SpinSystemParams,
     TransferMatrix,
     closed_form_so,
     cycle_matrix,
+    decay_curve,
     enhance_zeeman,
     ideal_reset,
     ideal_signal,
@@ -19,11 +18,15 @@ from singletcool import (
     measure_order,
     permutation_matrix,
     run_ideal,
+    run_kinetic,
     signal_from_singlet_order,
+    sweep_tau,
     thermal_populations,
     unitary_max_order,
+    zeeman_enhancement_ratio,
 )
-from singletcool.protocol import RESET0, THERMAL_DEVIATION, reset_deviation, _PERM_MATRICES
+from singletcool.kinetics import _relaxation_map
+from singletcool.protocol import RESET0, THERMAL_DEVIATION, _pump
 
 from conftest import random_populations
 
@@ -134,33 +137,49 @@ class TestCycleMatrix:
             assert so == pytest.approx(closed_form_so(2 * k, eps), abs=20 * k * eps**2)
 
 
-class TestProtocolSequence:
-    def test_even_structure(self):
-        seq = ProtocolSequence.for_permutation_count(4).steps
-        assert len(seq) == 8
-        kinds = [type(s) for s in seq]
-        assert kinds == [Reset, Permute, Reset, Permute] * 2
-        labels = [s.label for s in seq if isinstance(s, Permute)]
-        assert labels == [Permutation.PI124, Permutation.PI142] * 2
+class TestPumpLoop:
+    @staticmethod
+    def _walk(n_p, reset, source):
+        """The pump as a literal step walk: reset, then pi124 and pi142 in turn."""
+        delta = src = source[:, None]
+        out = [delta[..., 0]]
+        for k in range(n_p):
+            delta = src + reset @ (delta - src)
+            delta = (PI142_EXPECTED if k % 2 else PI124_EXPECTED) @ delta
+            out.append(delta[..., 0])
+        return out
 
-    def test_odd_structure(self):
-        seq = ProtocolSequence.for_permutation_count(5).steps
-        assert len(seq) == 10
-        labels = [s.label for s in seq if isinstance(s, Permute)]
-        assert labels == [
-            Permutation.PI124,
-            Permutation.PI142,
-            Permutation.PI124,
-            Permutation.PI142,
-            Permutation.PI124,
-        ]
+    @pytest.mark.parametrize(
+        "reset",
+        [
+            RESET0,
+            _relaxation_map(0.13, 0.0047, 0.0, 28.0),
+            _relaxation_map(0.13, 0.0047, 0.0, np.array([0.0, 0.5, 5.0, 28.0, 600.0])),
+        ],
+        ids=["ideal", "one map", "stack of 5"],
+    )
+    def test_equals_literal_step_walk(self, reset):
+        source = 1e-4 * THERMAL_DEVIATION
+        for n_p in range(10):
+            got, want = _pump(n_p, reset, source), self._walk(n_p, reset, source)
+            assert len(got) == n_p + 1
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
-    def test_empty(self):
-        assert ProtocolSequence.for_permutation_count(0).steps == ()
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ProtocolSequence.for_permutation_count(-1)
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda p: run_ideal(-1, 1e-4),
+            lambda p: run_kinetic(-1, 28.0, 0.0, p),
+            lambda p: sweep_tau(-1, [1.0, 28.0], p),
+            lambda p: decay_curve(-1, 28.0, [0.0, 50.0, 100.0], p),
+            lambda p: zeeman_enhancement_ratio(-1, 28.0, 18.0, p),
+        ],
+        ids=["run_ideal", "run_kinetic", "sweep_tau", "decay_curve", "zeeman_enhancement_ratio"],
+    )
+    def test_negative_count_rejected_by_every_engine(self, run):
+        with pytest.raises(ValueError, match="n_p must be >= 0"):
+            run(SpinSystemParams())
 
 
 class TestRunIdeal:
@@ -211,10 +230,8 @@ class TestRunIdeal:
         eps = 1e-4
         delta = eps * THERMAL_DEVIATION
         for _ in range(5):  # 5 cycles = 10 permutations
-            delta = reset_deviation(delta, eps)
-            delta = _PERM_MATRICES[Permutation.PI124] @ delta
-            delta = reset_deviation(delta, eps)
-            delta = _PERM_MATRICES[Permutation.PI142] @ delta
+            delta = PI124_EXPECTED @ (RESET0 @ delta + eps * THERMAL_DEVIATION)
+            delta = PI142_EXPECTED @ (RESET0 @ delta + eps * THERMAL_DEVIATION)
         np.testing.assert_allclose(run_ideal(10, eps).p, 0.25 + delta, atol=1e-17)
 
     def test_exact_cycle_power_deviates_only_at_second_order(self):
@@ -259,6 +276,18 @@ class TestEnhanceZeeman:
     def test_unpolarized_input(self):
         out = enhance_zeeman(thermal_populations(0.0), 0.0)
         assert measure_order(out, ZEEMAN_ORDER) == 0.0
+
+    @pytest.mark.parametrize("eps", [1e-8, 3e-5, 1e-4, 3e-3, 0.2])
+    def test_matches_reset_then_swap(self, rng, eps):
+        # the first-order reset written as Theta(0) delta + eps (0, 1, 0, -1)/4;
+        # the stage subtracts the thermal deviation first, which may round
+        # differently by one ulp of the uniform population 1/4
+        states = [run_ideal(n, eps).p for n in range(0, 80, 2)]
+        states += list(random_populations(rng, 20))
+        for p in states:
+            want = 0.25 + PI12_EXPECTED @ (RESET0 @ (p - 0.25) + eps * THERMAL_DEVIATION)
+            got = enhance_zeeman(PopulationVector(p), eps).p
+            assert np.all(np.abs(got - want) <= np.spacing(0.25))
 
 
 class TestTransferMatrix:
