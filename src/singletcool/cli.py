@@ -8,8 +8,10 @@ as one line, followed by the run's warnings as ``warning: ...`` lines.
 
 Configuration is read from flags, or from a plain-text file of
 ``key = value`` lines given with --config ('#' comments allowed); flags
-override file values.  Default values regenerate the reference scenario
-of the bundled 13C2 spin pair.
+override file values.  Every flag is a config key, spelt with underscores
+or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``).  The engine
+--mode is ideal or kinetic.  Default values regenerate the reference
+scenario of the bundled 13C2 spin pair.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,29 +48,47 @@ class ConfigError(Exception):
     pass
 
 
+def _parse_grid(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        # not a ValueError, so argparse passes it through from a flag's type=
+        raise ConfigError(f"bad grid value {text!r}: {exc}") from None
+
+
+def _key(default, parse, help: str):
+    """A run key: its default, its text parser and its flag help."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
 @dataclass
 class RunConfig:
-    """Merged run configuration (defaults < config file < flags)."""
+    """Merged run configuration (defaults < config file < flags).
 
-    mode: str = "kinetic"
-    n_p: int = 6
-    tau: float = 28.0
-    tau_ev: float = 0.0
-    tau_prime: float = 18.0
-    j: float = 54.141
-    delta_ppm: float = 0.057
-    b0: float = 16.45
-    gamma: float = GAMMA_13C
-    temperature: float = 298.0
-    t1: float = 7.36
-    ts: float = 214.0
-    n_steps: int = 20000
-    out: Optional[str] = None
-    tau_grid: Optional[tuple[float, ...]] = None
-    tau_ev_grid: Optional[tuple[float, ...]] = None
+    Each field is one run key, read from its flag and its config-file key by its parser.
+    """
+
+    mode: str = _key("kinetic", str, "engine: ideal | kinetic")
+    n_p: int = _key(6, int, "number of permutations")
+    tau: float = _key(28.0, float, "reset interval, s")
+    tau_ev: float = _key(0.0, float, "post-pump evolution interval, s")
+    tau_prime: float = _key(18.0, float, "final reset of the magnetization protocol, s")
+    j: float = _key(54.141, float, "scalar coupling, Hz")
+    delta_ppm: float = _key(0.057, float, "chemical-shift difference, ppm")
+    b0: float = _key(16.45, float, "static field, T")
+    gamma: float = _key(GAMMA_13C, float, "magnetogyric ratio, rad/s/T")
+    temperature: float = _key(298.0, float, "temperature, K")
+    t1: float = _key(7.36, float, "Zeeman relaxation time, s")
+    ts: float = _key(214.0, float, "singlet decay time, s")
+    n_steps: int = _key(20000, int, "shaped-pulse integration steps")
+    out: Optional[str] = _key(None, str, "output CSV path (default stdout)")
+    tau_grid: Optional[tuple[float, ...]] = _key(
+        None, _parse_grid, "comma-separated reset durations, s")
+    tau_ev_grid: Optional[tuple[float, ...]] = _key(
+        None, _parse_grid, "comma-separated evolution delays, s")
 
     def validate(self) -> None:
-        if self.mode not in ("ideal", "kinetic", "coherent-check"):
+        if self.mode not in ("ideal", "kinetic"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.n_p < 0:
             raise ConfigError("np must be >= 0")
@@ -77,20 +97,16 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if self.n_steps < 1:
             raise ConfigError("n-steps must be >= 1")
-        for name in ("tau_grid", "tau_ev_grid"):
-            grid = getattr(self, name)
-            if grid is None:
-                continue
-            flag = name.replace("_", "-")
-            if not grid:
-                raise ConfigError(f"{flag} must be nonempty")
-            if not all(math.isfinite(x) for x in grid):
-                raise ConfigError(f"{flag} entries must be finite")
-            if not all(b > a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"{flag} must be strictly increasing")
-            if grid[0] < 0.0:
-                raise ConfigError(f"{flag} entries must be >= 0")
         try:
+            for name in ("tau_grid", "tau_ev_grid"):
+                grid = getattr(self, name)
+                if grid is None:
+                    continue
+                flag = name.replace("_", "-")
+                # the engines accept +inf, which no CLI grid may hold
+                if not all(math.isfinite(x) for x in grid):
+                    raise ConfigError(f"{flag} entries must be finite")
+                kinetics._check_grid(grid, flag)
             self.spin_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -107,19 +123,13 @@ class RunConfig:
         )
 
 
-_FLOAT_KEYS = {"tau", "tau_ev", "tau_prime", "j", "delta_ppm", "b0", "gamma",
-               "temperature", "t1", "ts"}
-_INT_KEYS = {"n_p", "n_steps"}
-_GRID_KEYS = {"tau_grid", "tau_ev_grid"}
-_STR_KEYS = {"mode", "out"}
-_FILE_KEY_ALIASES = {"np": "n_p"}
+def _flag(name: str) -> str:
+    """The flag of a run key: dashes for underscores, and ``--np`` for ``n_p``."""
+    return "--np" if name == "n_p" else "--" + name.replace("_", "-")
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad grid value {text!r}: {exc}") from None
+#: The run keys by flag.
+_KEYS = {_flag(f.name): f for f in fields(RunConfig)}
 
 
 def read_config_file(path: str) -> dict:
@@ -135,18 +145,10 @@ def read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                key = _FILE_KEY_ALIASES.get(key, key)
-                val = val.strip()
-                if key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                elif key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _GRID_KEYS:
-                    values[key] = _parse_grid(val)
-                elif key in _STR_KEYS:
-                    values[key] = val
-                else:
+                f = _KEYS.get(_flag(key))
+                if f is None:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                values[f.name] = f.metadata["parse"](val.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except ValueError as exc:
@@ -162,42 +164,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="key = value config file")
-    common.add_argument("--mode", type=str, default=None,
-                        help="engine: ideal | kinetic | coherent-check")
-    common.add_argument("--np", dest="n_p", type=int, default=None,
-                        help="number of permutations")
-    common.add_argument("--tau", type=float, default=None, help="reset interval, s")
-    common.add_argument("--tau-ev", dest="tau_ev", type=float, default=None,
-                        help="post-pump evolution interval, s")
-    common.add_argument("--tau-prime", dest="tau_prime", type=float, default=None,
-                        help="final reset of the magnetization protocol, s")
-    common.add_argument("--j", type=float, default=None, help="scalar coupling, Hz")
-    common.add_argument("--delta-ppm", dest="delta_ppm", type=float, default=None,
-                        help="chemical-shift difference, ppm")
-    common.add_argument("--b0", type=float, default=None, help="static field, T")
-    common.add_argument("--gamma", type=float, default=None,
-                        help="magnetogyric ratio, rad/s/T")
-    common.add_argument("--temperature", type=float, default=None, help="temperature, K")
-    common.add_argument("--t1", type=float, default=None, help="Zeeman relaxation time, s")
-    common.add_argument("--ts", type=float, default=None, help="singlet decay time, s")
-    common.add_argument("--n-steps", dest="n_steps", type=int, default=None,
-                        help="shaped-pulse integration steps")
-    common.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
-    common.add_argument("--tau-grid", dest="tau_grid", type=str, default=None,
-                        help="comma-separated reset durations, s")
-    common.add_argument("--tau-ev-grid", dest="tau_ev_grid", type=str, default=None,
-                        help="comma-separated evolution delays, s")
+    for flag, f in _KEYS.items():
+        common.add_argument(flag, dest=f.name, type=f.metadata["parse"], default=None,
+                            help=f.metadata["help"])
 
     parser = _Parser(prog="singletcool",
                      description="algorithmic cooling of a spin-1/2 pair via singlet order")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("pump", "singlet-order build-up versus permutation count"),
-        ("sweep-tau", "signal versus triplet-reset duration"),
-        ("decay", "signal versus post-pump evolution delay, with exponential fit"),
-        ("enhance", "Zeeman-order enhancement from pumped singlet order"),
-        ("coherent-check", "pulse-level diagnostics: spectrum, fidelities, robustness"),
-    ):
+    for name, (_, desc) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=desc)
     return parser
 
@@ -208,10 +182,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in read_config_file(args.config).items():
             setattr(config, key, value)
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+        value = getattr(args, f.name)
         if value is not None:
-            if f.name in _GRID_KEYS and isinstance(value, str):
-                value = _parse_grid(value)
             setattr(config, f.name, value)
     config.validate()
     return config
@@ -235,14 +207,10 @@ def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
 
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     """One row per permutation count from 0 to np."""
-    if config.mode not in ("ideal", "kinetic"):
-        raise ConfigError("pump requires mode ideal or kinetic")
     params, eps = _population_params(config)
-    lines = []
+    # the pump for k permutations is a prefix of the pump for n_p
     if config.mode == "ideal":
-        lines.append("n_p,so,signal,closed_form_so")
-        lines.append(SIGNAL_NOTE)
-        # the pump for k permutations is a prefix of the pump for n_p
+        lines = ["n_p,so,signal,closed_form_so", SIGNAL_NOTE]
         deltas = protocol._pump(config.n_p, protocol.RESET0, eps * protocol.THERMAL_DEVIATION)
         for k, delta in enumerate(deltas):
             so = measure_order(PopulationVector(0.25 + delta), SINGLET_ORDER)
@@ -250,9 +218,7 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
             cf = protocol.closed_form_so(k, eps)
             lines.append(f"{k},{_fmt(so)},{_fmt(sig)},{_fmt(cf)}")
     else:
-        lines.append("n_p,so,signal")
-        lines.append(SIGNAL_NOTE)
-        # the pump for k permutations is a prefix of the pump for n_p
+        lines = ["n_p,so,signal", SIGNAL_NOTE]
         res = kinetics.run_kinetic(config.n_p, config.tau, config.tau_ev, params)
         for k, so_k in res.so_trace:
             sig = kinetics._detected_signal(so_k, eps, config.tau_ev, params.ts)
@@ -302,8 +268,6 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
 def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
     if config.n_p % 2:
         raise ConfigError("enhance is defined for even permutation counts")
-    if config.mode not in ("ideal", "kinetic"):
-        raise ConfigError("enhance requires mode ideal or kinetic")
     params, eps = _population_params(config)
     zo_eq = eps / (2.0 * np.sqrt(2.0))
     if config.mode == "ideal":
@@ -365,11 +329,12 @@ def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
 
 
 _COMMANDS = {
-    "pump": cmd_pump,
-    "sweep-tau": cmd_sweep_tau,
-    "decay": cmd_decay,
-    "enhance": cmd_enhance,
-    "coherent-check": cmd_coherent_check,
+    "pump": (cmd_pump, "singlet-order build-up versus permutation count"),
+    "sweep-tau": (cmd_sweep_tau, "signal versus triplet-reset duration"),
+    "decay": (cmd_decay, "signal versus post-pump evolution delay, with exponential fit"),
+    "enhance": (cmd_enhance, "Zeeman-order enhancement from pumped singlet order"),
+    "coherent-check": (cmd_coherent_check,
+                       "pulse-level diagnostics: spectrum, fidelities, robustness"),
 }
 
 
@@ -397,7 +362,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = build_config(args)
-        lines, code = _COMMANDS[args.command](config)
+        lines, code = _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -291,6 +291,8 @@ def _step_exponentials(h: np.ndarray, dt: float, h_norms: np.ndarray) -> np.ndar
     """
     m = len(h)
     theta = math.sqrt(2.0) * abs(dt) * float(h_norms.max())
+    if not math.isfinite(theta):
+        raise ValueError(f"non-finite Hamiltonian step norm (theta = {theta!r})")
     s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     scaled_dt = dt / 2.0**s
     z = np.empty((m, 8, 8))
@@ -318,8 +320,9 @@ def _midpoint_propagator(
     """Midpoint-rule propagator from a batched Hamiltonian builder.
 
     ``hamiltonians_at`` maps an array of m midpoint times to an (m, 4, 4)
-    stack of Hamiltonians; it is called on blocks of at most `_BLOCK_STEPS`
-    consecutive steps.  The running product is kept in real 8x8 form.
+    stack of Hermitian Hamiltonians; it is called on blocks of at most
+    `_BLOCK_STEPS` consecutive steps.  The running product is kept in real
+    8x8 form.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -331,10 +334,7 @@ def _midpoint_propagator(
     for start in range(0, n_steps, _BLOCK_STEPS):
         k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
         h = hamiltonians_at(t0 + (k + 0.5) * dt)
-        defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
         norms = np.linalg.norm(h, axis=(-2, -1))
-        if not np.all(defect <= HERMITICITY_TOL * np.maximum(1.0, norms)):
-            raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
         u = _ordered_product(_step_exponentials(h, dt, norms)) @ u
     return Propagator(u[:4, :4] + 1j * u[4:, :4])
 
@@ -362,6 +362,10 @@ def propagate(
             raise ValueError(
                 f"hamiltonian_of_t must return a 4x4 matrix, got shape {stack.shape[1:]}"
             )
+        defect = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+        norms = np.linalg.norm(stack, axis=(-2, -1))
+        if not np.all(defect <= HERMITICITY_TOL * np.maximum(1.0, norms)):
+            raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
         return stack
 
     return _midpoint_propagator(hamiltonians_at, t_span, n_steps)
@@ -383,8 +387,8 @@ def composite_pulse_propagator(sign: int = +1, amplitude_scale: float = 1.0) -> 
     target under amplitude miscalibration (the scale multiplies both flip
     angles).
     """
-    if amplitude_scale <= 0.0:
-        raise ValueError("amplitude_scale must be positive")
+    if not 0.0 < amplitude_scale < math.inf:
+        raise ValueError(f"amplitude_scale must be finite and positive, got {amplitude_scale!r}")
     u1 = collective_rotation(np.pi * amplitude_scale, sign * np.deg2rad(30.0))
     u2 = collective_rotation(0.5 * np.pi * amplitude_scale, sign * np.deg2rad(150.0))
     return u2 @ u1

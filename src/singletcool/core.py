@@ -160,7 +160,10 @@ def epsilon(params: SpinSystemParams) -> float:
         raise ValueError("temperature must be positive")
     if params.b0 <= 0.0:
         raise ValueError("b0 must be positive")
-    eps = hbar * params.gamma * params.b0 / (k_B * params.temperature)
+    # float64 division: where k_B*T underflows to 0 (T below ~1e-300 K), eps is
+    # +-inf instead of a ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = float(np.float64(hbar * params.gamma * params.b0) / (k_B * params.temperature))
     if abs(eps) > 0.01:
         warnings.warn(
             f"eps = {eps:.3g} is outside the high-temperature regime; "

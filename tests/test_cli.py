@@ -1,11 +1,17 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singletcool
 from singletcool import SINGLET_ORDER, kinetics, protocol
@@ -14,8 +20,13 @@ from singletcool.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    RunConfig,
+    _build_parser,
+    build_config,
     main,
 )
+
+COMMANDS = ["pump", "sweep-tau", "decay", "enhance", "coherent-check"]
 
 
 def run_cli(tmp_path, name, *args):
@@ -316,6 +327,8 @@ class TestConfigHandling:
             ["decay", "--gamma", "0", "--tau-ev-grid", "0,50,100"],
             ["pump", "--mode", "ideal", "--temperature", "1e-25"],
             ["pump", "--mode", "kinetic", "--temperature", "1e-25"],
+            # k_B*T underflows to 0, so eps is infinite
+            ["enhance", "--temperature", "1e-308"],
         ],
         ids=" ".join,
     )
@@ -351,6 +364,110 @@ class TestConfigHandling:
         code = main(["sweep-tau", "--config", str(cfg), "--np", "4", "--out", str(out)])
         assert code == EXIT_OK
         assert len(data_rows(out.read_text().splitlines())) == 3
+
+
+def flag_of(name):
+    return "--np" if name == "n_p" else "--" + name.replace("_", "-")
+
+
+# a valid text value for each run key, different from its default
+KEY_VALUES = {
+    "mode": "ideal", "n_p": "4", "tau": "12.5", "tau_ev": "3.0", "tau_prime": "9.0",
+    "j": "20.0", "delta_ppm": "0.5", "b0": "9.4", "gamma": "6.7e7", "temperature": "310",
+    "t1": "5.0", "ts": "150.0", "n_steps": "600", "out": "run.csv",
+    "tau_grid": "1, 10,100", "tau_ev_grid": "0,50,100",
+}
+
+
+class TestRunKeyTable:
+    # every RunConfig field is one run key: a flag and a config-file key
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_config_file_key_agree(self, tmp_path, name):
+        value = KEY_VALUES[name]
+        from_flag = build_config(_build_parser().parse_args(["pump", flag_of(name), value]))
+        assert getattr(from_flag, name) != getattr(RunConfig(), name)
+        for key in (name, flag_of(name)[2:]):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            args = _build_parser().parse_args(["pump", "--config", str(cfg)])
+            assert build_config(args) == from_flag
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_exactly_the_run_keys(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        expected = {flag_of(f.name) for f in fields(RunConfig)} | {"--config", "--help"}
+        assert listed == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_coherent_check_is_not_a_mode(self, capsys, command):
+        assert main([command, "--mode", "coherent-check"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown mode 'coherent-check'\n"
+
+
+def _key_value(name, value):
+    spelling = st.sampled_from(sorted({name, flag_of(name)[2:], name.replace("_", "-")}))
+    return st.tuples(spelling, value).map(" = ".join)
+
+
+_FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
+_GRID_KEYS = ["tau_grid", "tau_ev_grid"]
+_GARBAGE = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "-1e-300", "abc", ""])
+_ANY_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), _GARBAGE)
+_VALID_LINE = st.one_of(
+    _key_value("mode", st.sampled_from(["ideal", "kinetic"])),
+    _key_value("n_p", st.integers(0, 40).map(str)),
+    *(_key_value(name, st.floats(0.0, 500.0).map(repr)) for name in _FLOAT_KEYS),
+)
+_GRID_LINE = st.one_of(*(
+    _key_value(name, st.sets(st.floats(0.0, 500.0), min_size=1, max_size=8).map(
+        lambda xs: ",".join(map(repr, sorted(xs)))))
+    for name in _GRID_KEYS
+))
+_BAD_LINE = st.one_of(
+    _key_value("mode", st.sampled_from(["bogus", "", "Ideal"])),
+    _key_value("n_p", st.sampled_from(["-1", "2.5", "1e9", "abc", "", "nan"])),
+    *(_key_value(name, _ANY_NUMBER) for name in _FLOAT_KEYS),
+    # empty, unsorted, repeated, non-finite, negative or garbage entries
+    *(_key_value(name, st.lists(_ANY_NUMBER, max_size=8).map(",".join)) for name in _GRID_KEYS),
+    st.sampled_from(["frequency = 10", "n_p2 = 3", "tau grid = 1", "= 5", "tau 28", "np == 3",
+                     "tau = 1 = 2", "\x00", "mode"]),
+)
+# mostly valid files, so that examples also reach the engines, with up to two bad lines
+_CONFIG_LINES = st.tuples(
+    st.lists(_GRID_LINE, max_size=2),
+    st.lists(_VALID_LINE, max_size=6),
+    st.lists(_BAD_LINE, max_size=2),
+).flatmap(lambda parts: st.permutations(sum(parts, [])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestConfigFileFuzz:
+    # out and n_steps are never drawn, so no example writes a file or runs a pulse
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(command=st.sampled_from(["pump", "sweep-tau", "decay", "enhance"]),
+           lines=_CONFIG_LINES)
+    def test_every_file_gives_a_documented_outcome(self, fuzz_dir, command, lines):
+        cfg = fuzz_dir / "fuzz.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_COMPUTE)
+        stderr = err.getvalue()
+        assert "Traceback" not in stderr
+        for line in stderr.splitlines():
+            assert line.startswith(("config error:", "computation failed:", "warning:")), line
+        if code == EXIT_OK:
+            assert out.getvalue().startswith(("n_p,", "tau,", "tau_ev,", "zo_ratio,"))
 
 
 class TestOutputContract:

@@ -439,6 +439,12 @@ class TestCompositePulse:
         with pytest.raises(ValueError):
             composite_pulse_propagator(amplitude_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_scale_by_name(self, scale):
+        # nan and inf pass a plain <= 0 test and failed later, as a unitarity defect
+        with pytest.raises(ValueError, match="amplitude_scale must be finite and positive"):
+            composite_pulse_propagator(+1, scale)
+
 
 @pytest.fixture(scope="module")
 def permutation_runs():
@@ -542,6 +548,15 @@ class TestSimulatePermutation:
     def test_no_sequence_for_the_plain_swap(self, default_params):
         with pytest.raises(ValueError):
             simulate_permutation(Permutation.PI12, default_params, n_steps=10)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_shape_is_a_non_finite_hamiltonian(self, default_params):
+        # the waveform overflows to nan; no caller-supplied callable is involved,
+        # so the error must not blame one for a non-Hermitian matrix
+        shape = PulseShape(coefficients=(1e308,) * 21)
+        with pytest.raises(ValueError, match="non-finite Hamiltonian"):
+            simulate_permutation(Permutation.PI124, default_params, shape=shape, n_steps=100)
 
     def test_eight_fold_duration_realizes_cycle(self, default_params):
         # the bundled profile completes its passage when given ~8x its

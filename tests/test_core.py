@@ -62,6 +62,12 @@ class TestEpsilon:
         with pytest.warns(UserWarning):
             epsilon(p)
 
+    def test_underflowing_temperature_gives_infinite_eps(self):
+        # k_B*T underflows to 0.0 here; eps is then unbounded, not a ZeroDivisionError
+        p = SpinSystemParams(temperature=1e-308)
+        with pytest.warns(UserWarning):
+            assert epsilon(p) == math.inf
+
 
 class TestThermalPopulations:
     def test_infinite_temperature(self):
