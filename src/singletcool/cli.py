@@ -220,10 +220,10 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     else:
         lines = ["n_p,so,signal", SIGNAL_NOTE]
         res = kinetics.run_kinetic(config.n_p, config.tau, config.tau_ev, params)
-        for k, so_k in res.so_trace:
-            sig = kinetics._detected_signal(so_k, eps, config.tau_ev, params.ts)
-            so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
-            lines.append(f"{k},{_fmt(so)},{_fmt(sig)}")
+        sig = kinetics._detected_signal(np.array(res.so_trace).T[1], eps, config.tau_ev, params.ts)
+        so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
+        for k, (so_k, sig_k) in enumerate(zip(so.tolist(), sig.tolist())):
+            lines.append(f"{k},{_fmt(so_k)},{_fmt(sig_k)}")
     return lines, EXIT_OK
 
 

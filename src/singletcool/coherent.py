@@ -210,14 +210,17 @@ class PulseShape:
 
     @functools.cached_property
     def profile_extrema(self) -> tuple[float, float]:
-        """(min, max) of the raw polynomial over [0, 1] on a dense grid."""
-        vals = self.profile(np.linspace(0.0, 1.0, 20001))
-        return float(vals.min()), float(vals.max())
+        """(min, max) of the raw polynomial over [0, 1] on a dense grid; not finite on overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.profile(np.linspace(0.0, 1.0, 20001))
+            return float(vals.min()), float(vals.max())
 
     @functools.cached_property
     def profile_peak(self) -> float:
-        """max |polynomial| over the pulse; the waveform normalizer."""
+        """max |polynomial| over the pulse, the waveform normalizer; ValueError on overflow."""
         lo, hi = self.profile_extrema
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"pulse profile peak overflows float64 (extrema {lo!r}, {hi!r})")
         return max(abs(lo), abs(hi))
 
 
@@ -433,6 +436,7 @@ def simulate_permutation(
         raise ValueError("frame_sign must be +1 or -1")
     if shape is None:
         shape = PulseShape.default(offset_hz=CARRIER_OFFSETS[kind])
+    peak = shape.profile_peak  # rejects an overflowing profile before any step
 
     # carrier displaced by +x Hz puts the spins at -x Hz in its frame
     spin_offset_hz = -frame_sign * shape.offset_hz
@@ -444,7 +448,7 @@ def simulate_permutation(
 
     def hamiltonians_at(times: np.ndarray) -> np.ndarray:
         # the array form of h0 + apsoc_waveform(shape, t) * rf_axis, bit for bit
-        amp = shape.max_amplitude * shape.profile(times / shape.duration) / shape.profile_peak
+        amp = shape.max_amplitude * shape.profile(times / shape.duration) / peak
         return h0 + amp[:, None, None] * rf_axis
 
     u_pulse = _midpoint_propagator(hamiltonians_at, (0.0, shape.duration), n_steps)

@@ -26,9 +26,9 @@ reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
 pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
-pump: a decay curve scales its final SO, and the build-up after k
-permutations is entry k of its SO trace.  A tau sweep is one pump, too, over
-the (n_tau, 4, 4) stack of the relaxation maps of its grid.
+pump, as one array: a decay curve scales its final SO, the build-up is its SO
+trace, and a tau sweep pumps the (n_tau, 4, 4) stack of its grid's maps.  The
+pump permutes by row gathers, and the rates calibrate once per spin system.
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
@@ -38,6 +38,7 @@ eps-dependence of any run is the linear thermal source.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -118,8 +119,11 @@ class RateMatrix:
         object.__setattr__(self, "r", arr)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
     """Build the rate matrix whose ZO mode decays at 1/t1 and SO mode at 1/ts.
+
+    Memoized, so the self-check runs once per (t1, ts, eps); failures are not cached.
 
     Raises:
         ValueError: unless 0 < t1 < ts (k_T would be nonpositive).
@@ -182,12 +186,16 @@ class KineticProtocolResult:
     zo_final: Optional[float] = None
 
 
-def _so_of_deviation(delta: np.ndarray) -> float:
-    return float(SINGLET_ORDER.normalization * (delta[0] - (delta[1] + delta[2] + delta[3]) / 3.0))
+def _so_of_deviation(delta: np.ndarray) -> float | np.ndarray:
+    """SO of a deviation, or elementwise the SOs of a (..., 4) stack of them."""
+    d0, d1, d2, d3 = np.moveaxis(delta, -1, 0)
+    so = SINGLET_ORDER.normalization * (d0 - (d1 + d2 + d3) / 3.0)
+    return so if np.ndim(so) else float(so)
 
 
-def _detected_signal(so: float, eps: float, tau_ev: float, ts: float) -> float:
-    """Signal of pumped singlet order `so` after free evolution for tau_ev."""
+def _detected_signal(so: float | np.ndarray, eps: float, tau_ev: float,
+                     ts: float) -> float | np.ndarray:
+    """Signal of pumped singlet order `so` (elementwise on an array) after evolving for tau_ev."""
     return signal_from_singlet_order(so, eps) * math.exp(-tau_ev / ts)
 
 
@@ -222,7 +230,7 @@ def run_kinetic(
     # the deviation from the thermal fixed point relaxes under the eps = 0
     # generator (first order in eps)
     deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
-    trace = tuple((k, _so_of_deviation(d)) for k, d in enumerate(deltas))
+    trace = tuple(enumerate(_so_of_deviation(np.array(deltas)).tolist()))
     delta = deltas[-1]
 
     zo_final: Optional[float] = None
@@ -277,10 +285,10 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     """Signal versus reset duration, from one pump over the whole grid.
 
     The relaxation maps of all grid points are stacked and pumped together
-    by one `protocol._pump`; each point equals
-    ``run_kinetic(n_p, tau, 0.0, params).signal``.  Results are ordered by
-    the input grid.  The optimum is the grid point maximizing the signal
-    magnitude.
+    by one `protocol._pump`, and the signals read off as one array; each
+    point equals ``run_kinetic(n_p, tau, 0.0, params).signal``.  Results are
+    ordered by the input grid.  The optimum is the first grid point of
+    largest signal magnitude.
     """
     grid = _check_grid(tau_grid, "tau_grid")
     eps = epsilon(params)
@@ -290,11 +298,9 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     pumped = np.broadcast_to(deltas[-1], (grid.size, 4))
     # run_kinetic's population check, made on the point nearest to leaving the simplex
     PopulationVector(0.25 + pumped[np.argmin(pumped.min(axis=1))])
-    points = tuple(
-        (float(tau), _detected_signal(_so_of_deviation(d), eps, 0.0, params.ts))
-        for tau, d in zip(grid, pumped)
-    )
-    best = max(range(len(points)), key=lambda i: abs(points[i][1]))
+    sig = signal_from_singlet_order(_so_of_deviation(pumped), eps)
+    points = tuple(zip(grid.tolist(), sig.tolist()))
+    best = int(np.argmax(np.abs(sig)))  # the first maximum
     return TauSweep(points=points, tau_star=points[best][0], signal_star=points[best][1])
 
 
@@ -307,8 +313,9 @@ def decay_curve(
     """Signal versus post-pump evolution interval tau_ev, from one pump."""
     grid = _check_grid(tau_ev_grid, "tau_ev_grid")
     so = run_kinetic(n_p, tau, 0.0, params).so_trace[-1][1]
-    eps = epsilon(params)
-    return tuple((float(tev), _detected_signal(so, eps, float(tev), params.ts)) for tev in grid)
+    s0 = signal_from_singlet_order(so, epsilon(params))
+    # math.exp, not np.exp, which rounds differently on some inputs
+    return tuple((tev, s0 * math.exp(-tev / params.ts)) for tev in grid.tolist())
 
 
 @dataclass(frozen=True)

@@ -171,8 +171,11 @@ def cycle_matrix(eps: float) -> TransferMatrix:
     return TransferMatrix(m, label=f"cycle(eps={eps!r})")
 
 
+#: Each permutation as a row gather: (P @ x)[i] = x[rows[i]], exactly, as P is 0/1.
+_PERM_ROWS = {label: m.argmax(axis=1) for label, m in _PERM_MATRICES.items()}
+
 #: The pump's permutations, applied in turn: pi_124 first.
-_CYCLE = (_PERM_MATRICES[Permutation.PI124], _PERM_MATRICES[Permutation.PI142])
+_CYCLE = (_PERM_ROWS[Permutation.PI124], _PERM_ROWS[Permutation.PI142])
 
 
 def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
@@ -184,22 +187,22 @@ def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
     `run_ideal` passes `RESET0` and the kinetic engine the relaxation map of
     a finite interval, or a stack of maps of shape (n, 4, 4), which pumps n
     intervals at once and gives deviations of shape (n, 4).  The deviation
-    is carried as a column, so every product is a matrix-vector product for
-    any n.
+    is carried as a column: every reset is a matrix-vector product for any
+    n, and every permutation the exact row gather of its 0/1 matrix.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
     delta = source = source[:, None]
     out = [delta]
     for k in range(n_p):
-        delta = _CYCLE[k % 2] @ (source + reset @ (delta - source))
+        delta = (source + reset @ (delta - source)).take(_CYCLE[k % 2], axis=-2)
         out.append(delta)
     return [d[..., 0] for d in out]
 
 
 def _enhance(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> np.ndarray:
     """The enhancement stage on a deviation: one more reset, then pi_12."""
-    return _PERM_MATRICES[Permutation.PI12] @ (source + reset @ (delta - source))
+    return (source + reset @ (delta - source)).take(_PERM_ROWS[Permutation.PI12], axis=-1)
 
 
 def run_ideal(n_p: int, eps: float) -> PopulationVector:
@@ -260,9 +263,10 @@ def ideal_signal(n_p: int, eps: float) -> float:
     return signal_from_singlet_order(so, eps)
 
 
-def signal_from_singlet_order(so: float, eps: float) -> float:
-    """Normalized signal sqrt(2/3)*SO/ZO_eq for polarization eps."""
+def signal_from_singlet_order(so: float | np.ndarray, eps: float) -> float | np.ndarray:
+    """Normalized signal sqrt(2/3)*SO/ZO_eq for polarization eps, elementwise on an array of SO."""
     if eps == 0.0:
         raise ValueError("signal normalization undefined at eps = 0")
     zo_eq = eps / (2.0 * np.sqrt(2.0))
-    return float(np.sqrt(2.0 / 3.0) * so / zo_eq)
+    sig = np.sqrt(2.0 / 3.0) * so / zo_eq
+    return sig if np.ndim(sig) else float(sig)

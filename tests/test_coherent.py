@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -549,14 +550,15 @@ class TestSimulatePermutation:
         with pytest.raises(ValueError):
             simulate_permutation(Permutation.PI12, default_params, n_steps=10)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_shape_is_a_non_finite_hamiltonian(self, default_params):
-        # the waveform overflows to nan; no caller-supplied callable is involved,
-        # so the error must not blame one for a non-Hermitian matrix
+        # the profile overflows float64: the shape is rejected by name before any
+        # step, with no numpy warning first, and no caller-supplied callable is
+        # blamed for a non-Hermitian matrix
         shape = PulseShape(coefficients=(1e308,) * 21)
-        with pytest.raises(ValueError, match="non-finite Hamiltonian"):
-            simulate_permutation(Permutation.PI124, default_params, shape=shape, n_steps=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pulse profile peak overflows float64"):
+                simulate_permutation(Permutation.PI124, default_params, shape=shape, n_steps=100)
 
     def test_eight_fold_duration_realizes_cycle(self, default_params):
         # the bundled profile completes its passage when given ~8x its

@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from singletcool import kinetics
 from singletcool import (
+    GAMMA_13C,
     SINGLET_ORDER,
     Permutation,
     PopulationVector,
@@ -28,6 +30,7 @@ from singletcool import (
     unitary_max_order,
     zeeman_enhancement_ratio,
 )
+from singletcool.kinetics import _relaxation_map
 from singletcool.protocol import THERMAL_DEVIATION, _pump
 
 # engine regression values at the reference parameters
@@ -75,6 +78,16 @@ class TestCalibrateRates:
     def test_nan_lifetime_fails_the_self_check(self):
         with pytest.raises(kinetics.CalibrationError):
             calibrate_rates(float("nan"), 214.0)
+
+    def test_memoized_rate_matrix_is_shared_and_read_only(self):
+        rate = calibrate_rates(7.36, 214.0, 3e-5)
+        assert calibrate_rates(7.36, 214.0, 3e-5) is rate
+        with pytest.raises(ValueError, match="read-only"):
+            rate.r[0, 0] = 1.0
+
+    def test_memo_is_bounded(self):
+        # one entry per spin system; a bound keeps memory flat however many are drawn
+        assert calibrate_rates.cache_info().maxsize is not None
 
     def test_mode_rates(self):
         # slowest decaying deviation mode is singlet order at 1/ts, the
@@ -411,6 +424,74 @@ class TestDecayCurve:
             for tev, sig in curve:
                 exact = s0 * mp.exp(-mp.mpf(tev) / mp.mpf(default_params.ts))
                 assert abs((mp.mpf(sig) - exact) / exact) < 1e-14
+
+
+def _so_reference(d):
+    """SO of one deviation, read one numpy scalar at a time."""
+    return float(SINGLET_ORDER.normalization * (d[0] - (d[1] + d[2] + d[3]) / 3.0))
+
+
+def _signal_reference(so, eps, tau_ev, ts):
+    """Detected signal of one SO value after free evolution for tau_ev."""
+    zo_eq = eps / (2.0 * np.sqrt(2.0))
+    return float(np.sqrt(2.0 / 3.0) * so / zo_eq) * math.exp(-tau_ev / ts)
+
+
+def _types(x):
+    return tuple(map(_types, x)) if isinstance(x, tuple) else type(x)
+
+
+def _same(got, want):
+    """Equal, with the same types (every float a Python float) and signs of zero."""
+    assert got == want
+    assert _types(got) == _types(want)
+    assert repr(got) == repr(want)
+
+
+class TestArrayReadout:
+    """The array readouts equal the per-point scalar readout bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        t1=st.floats(0.05, 50.0),
+        ratio=st.floats(1.5, 500.0),
+        gamma_sign=st.sampled_from([1.0, -1.0]),
+        n_p=st.integers(0, 300),
+        tau_over_t1=st.floats(0.0, 30.0),
+        inner=st.integers(0, 318).flatmap(
+            lambda n: st.lists(st.floats(1e-3, 1e4), min_size=n, max_size=n, unique=True)
+        ),
+    )
+    def test_readouts_equal_the_scalar_reference(
+        self, t1, ratio, gamma_sign, n_p, tau_over_t1, inner
+    ):
+        params = SpinSystemParams(t1=t1, ts=t1 * ratio, gamma=gamma_sign * GAMMA_13C)
+        tau = tau_over_t1 * t1
+        grid = [0.0, *sorted(inner), math.inf]
+        eps = epsilon(params)
+        rate = calibrate_rates(params.t1, params.ts, eps)
+        source = eps * THERMAL_DEVIATION
+
+        deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
+        trace = tuple((k, _so_reference(d)) for k, d in enumerate(deltas))
+        _same(run_kinetic(n_p, tau, 0.0, params).so_trace, trace)
+        _same(kinetics._so_of_deviation(deltas[-1]), trace[-1][1])
+        so = trace[-1][1]
+        _same(signal_from_singlet_order(so, eps), _signal_reference(so, eps, 0.0, params.ts))
+
+        stack = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, np.array(grid)), source)
+        pumped = np.broadcast_to(stack[-1], (len(grid), 4))
+        points = tuple(
+            (tau_k, _signal_reference(_so_reference(d), eps, 0.0, params.ts))
+            for tau_k, d in zip(grid, pumped)
+        )
+        sweep = sweep_tau(n_p, grid, params)
+        _same(sweep.points, points)
+        best = max(range(len(points)), key=lambda i: abs(points[i][1]))
+        _same((sweep.tau_star, sweep.signal_star), points[best])
+
+        curve = tuple((tev, _signal_reference(so, eps, tev, params.ts)) for tev in grid)
+        _same(decay_curve(n_p, tau, grid, params), curve)
 
 
 def noisy_decay(seed, noise):
