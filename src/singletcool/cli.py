@@ -28,6 +28,7 @@ import numpy as np
 from . import coherent, kinetics, protocol
 from .core import (
     GAMMA_13C,
+    POPULATION_TOL,
     SINGLET_ORDER,
     ZEEMAN_ORDER,
     PopulationVector,
@@ -212,11 +213,17 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     if config.mode == "ideal":
         lines = ["n_p,so,signal,closed_form_so", SIGNAL_NOTE]
         deltas = protocol._pump(config.n_p, protocol.RESET0, eps * protocol.THERMAL_DEVIATION)
-        for k, delta in enumerate(deltas):
-            so = measure_order(PopulationVector(0.25 + delta), SINGLET_ORDER)
-            sig = protocol.signal_from_singlet_order(so, eps)
-            cf = protocol.closed_form_so(k, eps)
-            lines.append(f"{k},{_fmt(so)},{_fmt(sig)},{_fmt(cf)}")
+        p = 0.25 + np.array(deltas)
+        # PopulationVector's checks on every row; the first row to fail raises its message
+        bad = (p.min(axis=1) < -POPULATION_TOL) | ~(np.abs(p.sum(axis=1) - 1.0) <= POPULATION_TOL)
+        if bad.any():
+            PopulationVector(p[bad.argmax()])
+        p[p < 0.0] = 0.0
+        # measure_order's expression, on every row at once
+        so = SINGLET_ORDER.normalization * (p[:, 0] - (p[:, 1] + p[:, 2] + p[:, 3]) / 3.0)
+        sig = protocol.signal_from_singlet_order(so, eps)
+        for k, (so_k, sig_k) in enumerate(zip(so.tolist(), sig.tolist())):
+            lines.append(f"{k},{_fmt(so_k)},{_fmt(sig_k)},{_fmt(protocol.closed_form_so(k, eps))}")
     else:
         lines = ["n_p,so,signal", SIGNAL_NOTE]
         res = kinetics.run_kinetic(config.n_p, config.tau, config.tau_ev, params)

@@ -28,7 +28,9 @@ e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
 pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
 pump, as one array: a decay curve scales its final SO, the build-up is its SO
 trace, and a tau sweep pumps the (n_tau, 4, 4) stack of its grid's maps.  The
-pump permutes by row gathers, and the rates calibrate once per spin system.
+pump permutes by row gathers and stops at the exact 2-cycle, where a state is
+bit-equal to the state two steps back, so its output is bit-identical to the
+full step walk; the rates calibrate once per spin system.
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation

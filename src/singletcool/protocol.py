@@ -188,16 +188,32 @@ def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
     a finite interval, or a stack of maps of shape (n, 4, 4), which pumps n
     intervals at once and gives deviations of shape (n, 4).  The deviation
     is carried as a column: every reset is a matrix-vector product for any
-    n, and every permutation the exact row gather of its 0/1 matrix.
+    n, and every permutation the exact row gather of its 0/1 matrix, taken
+    once per call from the rows of ``source`` and ``reset``.
+
+    Each step depends only on the parity of its count, so once a state is
+    bit-equal to the state two steps back, every later state repeats with
+    period 2, bit for bit.  The loop stops at that exact 2-cycle and fills
+    the rest of the list with the last two states, so the output is
+    bit-identical to the full step walk; repeated entries share memory.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
     delta = source = source[:, None]
-    out = [delta]
+    steps = [(source.take(rows, axis=-2), reset.take(rows, axis=-2)) for rows in _CYCLE]
+    out = [delta[..., 0]]
+    older, last = None, delta.tobytes()  # the bytes of the last two states
     for k in range(n_p):
-        delta = (source + reset @ (delta - source)).take(_CYCLE[k % 2], axis=-2)
-        out.append(delta)
-    return [d[..., 0] for d in out]
+        gathered_source, gathered_reset = steps[k % 2]
+        delta = gathered_source + gathered_reset @ (delta - source)
+        out.append(delta[..., 0])
+        key = delta.tobytes()
+        if key == older:
+            # from here on every state is the state two steps back
+            rest = n_p - 1 - k
+            return out + (out[-2:] * (rest // 2 + 1))[:rest]
+        older, last = last, key
+    return out
 
 
 def _enhance(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> np.ndarray:

@@ -108,15 +108,37 @@ class TestPumpCommand:
     def test_ideal_mode_runs_one_pump(self, tmp_path, monkeypatch):
         spy = mock.Mock(wraps=protocol._pump)
         monkeypatch.setattr(protocol, "_pump", spy)
-        code, lines = run_cli(tmp_path, "pumpi1", "pump", "--mode", "ideal", "--np", "12")
+        code, lines = run_cli(tmp_path, "pumpi1", "pump", "--mode", "ideal", "--np", "200")
         assert code == EXIT_OK
         assert spy.call_count == 1
         eps = singletcool.epsilon(singletcool.SpinSystemParams())
         rows = data_rows(lines)
-        assert len(rows) == 13
+        assert len(rows) == 201
         for k, row in enumerate(rows):
-            pop = singletcool.run_ideal(k, eps)
-            assert row.split(",")[1] == repr(singletcool.measure_order(pop, SINGLET_ORDER))
+            # each row equals the per-point readout of its own pump, bit for bit
+            so = singletcool.measure_order(singletcool.run_ideal(k, eps), SINGLET_ORDER)
+            sig = singletcool.signal_from_singlet_order(so, eps)
+            cf = singletcool.closed_form_so(k, eps)
+            assert row.split(",") == [str(k), repr(so), repr(sig), repr(float(cf))]
+
+    def test_ideal_rows_fail_at_the_first_row_off_the_simplex(self, tmp_path, capsys):
+        # eps ~ 0.7: the first-order rows leave the simplex part way through the pump
+        with pytest.warns(UserWarning, match="outside the high-temperature regime"):
+            eps = singletcool.epsilon(singletcool.SpinSystemParams(temperature=0.012))
+        deltas = protocol._pump(30, protocol.RESET0, eps * protocol.THERMAL_DEVIATION)
+        messages = []
+        for delta in deltas:
+            try:
+                singletcool.PopulationVector(0.25 + delta)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert len(set(messages)) > 1  # the rows off the simplex fail differently
+        code, lines = run_cli(
+            tmp_path, "pumpi2", "pump", "--mode", "ideal", "--temperature", "0.012", "--np", "30"
+        )
+        assert code == EXIT_COMPUTE
+        assert lines == []
+        assert capsys.readouterr().err.startswith(f"computation failed: {messages[0]}\n")
 
     def test_huge_singlet_lifetime_is_a_computation_failure(self, tmp_path, capsys):
         # finite but so far above t1 that the rate self-check cannot hold;

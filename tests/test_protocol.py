@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singletcool import (
     SINGLET_ORDER,
@@ -149,22 +151,77 @@ class TestPumpLoop:
             out.append(delta[..., 0])
         return out
 
+    @staticmethod
+    def _assert_same_states(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # bytes, not values: a signed zero or a NaN must match too
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize(
         "reset",
         [
             RESET0,
             _relaxation_map(0.13, 0.0047, 0.0, 28.0),
             _relaxation_map(0.13, 0.0047, 0.0, np.array([0.0, 0.5, 5.0, 28.0, 600.0])),
+            _relaxation_map(0.13, 0.0047, 0.0, 0.0),
+            _relaxation_map(0.13, 0.0047, 0.0, 0.01),
         ],
-        ids=["ideal", "one map", "stack of 5"],
+        ids=["ideal", "one map", "stack of 5", "identity", "short tau"],
     )
     def test_equals_literal_step_walk(self, reset):
         source = 1e-4 * THERMAL_DEVIATION
-        for n_p in range(10):
+        for n_p in (0, 1, 2, 40, 41, 300, 301):
             got, want = _pump(n_p, reset, source), self._walk(n_p, reset, source)
             assert len(got) == n_p + 1
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            self._assert_same_states(got, want)
+
+    @pytest.mark.parametrize(
+        "reset, repeats",
+        [
+            (_relaxation_map(0.13, 0.0047, 0.0, 0.0), True),
+            (RESET0, True),
+            (_relaxation_map(0.13, 0.0047, 0.0, 0.01), False),
+        ],
+        ids=["identity", "ideal", "short tau"],
+    )
+    def test_stops_at_the_first_exact_two_cycle(self, reset, repeats):
+        steps = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                steps.append(None)
+                return np.asarray(self) @ other
+
+        source = 1e-4 * THERMAL_DEVIATION
+        walk = self._walk(301, reset, source)
+        first = next(
+            (k for k in range(2, 302) if walk[k].tobytes() == walk[k - 2].tobytes()), None
+        )
+        assert (first is not None) == repeats
+        _pump(301, reset.view(Counted), source)
+        # one reset product per step, up to the first state that repeats
+        assert len(steps) == (301 if first is None else first)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        t1=st.floats(0.05, 50.0),
+        ratio=st.floats(1.5, 500.0),
+        eps_sign=st.sampled_from([1.0, -1.0]),
+        eps_exponent=st.floats(-8.0, -1.0),
+        n_p=st.integers(0, 400),
+        tau_over_t1=st.one_of(
+            st.floats(0.0, 30.0),
+            st.lists(st.floats(0.0, 30.0), min_size=1, max_size=12).map(np.array),
+        ),
+    )
+    def test_equals_literal_step_walk_on_drawn_systems(
+        self, t1, ratio, eps_sign, eps_exponent, n_p, tau_over_t1
+    ):
+        ts = t1 * ratio
+        reset = _relaxation_map(1.0 / t1 - 1.0 / ts, 1.0 / ts, 0.0, tau_over_t1 * t1)
+        source = eps_sign * 10.0 ** eps_exponent * THERMAL_DEVIATION
+        self._assert_same_states(_pump(n_p, reset, source), self._walk(n_p, reset, source))
 
     @pytest.mark.parametrize(
         "run",
