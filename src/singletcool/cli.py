@@ -9,9 +9,11 @@ as one line, followed by the run's warnings as ``warning: ...`` lines.
 Configuration is read from flags, or from a plain-text file of
 ``key = value`` lines given with --config ('#' comments allowed); flags
 override file values.  Every flag is a config key, spelt with underscores
-or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``).  The engine
---mode is ideal or kinetic.  Default values regenerate the reference
-scenario of the bundled 13C2 spin pair.
+or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``).  Default values
+regenerate the reference scenario of the bundled 13C2 spin pair.
+
+In pump and enhance, --mode picks only the resets: kinetic relaxation for tau and
+tau', or the ideal triplet reset, its T1 << tau << TS limit; each runs one path.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from . import coherent, kinetics, protocol
 from .core import (
     GAMMA_13C,
     POPULATION_TOL,
-    SINGLET_ORDER,
     ZEEMAN_ORDER,
     PopulationVector,
     SpinSystemParams,
     epsilon,
-    measure_order,
 )
 
 EXIT_OK = 0
@@ -206,31 +206,42 @@ def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
     return params, epsilon(params)
 
 
+def _engine(config: RunConfig, params: SpinSystemParams, eps: float,
+            *taus: float) -> tuple[list[np.ndarray], float]:
+    """The reset maps of the intervals ``taus`` and the singlet lifetime of --mode.
+
+    The ideal reset is relaxation in the T1 << tau << TS limit: `RESET0`, with no
+    decay during tau_ev.  Only the intervals asked for are mapped (a huge one warns of overflow).
+    """
+    if config.mode == "ideal":
+        return [protocol.RESET0] * len(taus), math.inf
+    rate = kinetics.calibrate_rates(params.t1, params.ts, eps)
+    # the deviation from thermal relaxes under the eps = 0 generator (first order in eps)
+    return [kinetics._relaxation_map(rate.k_t, rate.k_s, 0.0, tau) for tau in taus], params.ts
+
+
+def _check_simplex(deltas: np.ndarray) -> None:
+    """PopulationVector's checks on every row of deviations; the first row to fail raises."""
+    p = 0.25 + deltas
+    bad = (p.min(axis=1) < -POPULATION_TOL) | ~(np.abs(p.sum(axis=1) - 1.0) <= POPULATION_TOL)
+    if bad.any():
+        PopulationVector(p[bad.argmax()])
+
+
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     """One row per permutation count from 0 to np."""
     params, eps = _population_params(config)
+    (reset,), ts = _engine(config, params, eps, config.tau)
     # the pump for k permutations is a prefix of the pump for n_p
-    if config.mode == "ideal":
-        lines = ["n_p,so,signal,closed_form_so", SIGNAL_NOTE]
-        deltas = protocol._pump(config.n_p, protocol.RESET0, eps * protocol.THERMAL_DEVIATION)
-        p = 0.25 + np.array(deltas)
-        # PopulationVector's checks on every row; the first row to fail raises its message
-        bad = (p.min(axis=1) < -POPULATION_TOL) | ~(np.abs(p.sum(axis=1) - 1.0) <= POPULATION_TOL)
-        if bad.any():
-            PopulationVector(p[bad.argmax()])
-        p[p < 0.0] = 0.0
-        # measure_order's expression, on every row at once
-        so = SINGLET_ORDER.normalization * (p[:, 0] - (p[:, 1] + p[:, 2] + p[:, 3]) / 3.0)
-        sig = protocol.signal_from_singlet_order(so, eps)
-        for k, (so_k, sig_k) in enumerate(zip(so.tolist(), sig.tolist())):
-            lines.append(f"{k},{_fmt(so_k)},{_fmt(sig_k)},{_fmt(protocol.closed_form_so(k, eps))}")
-    else:
-        lines = ["n_p,so,signal", SIGNAL_NOTE]
-        res = kinetics.run_kinetic(config.n_p, config.tau, config.tau_ev, params)
-        sig = kinetics._detected_signal(np.array(res.so_trace).T[1], eps, config.tau_ev, params.ts)
-        so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
-        for k, (so_k, sig_k) in enumerate(zip(so.tolist(), sig.tolist())):
-            lines.append(f"{k},{_fmt(so_k)},{_fmt(sig_k)}")
+    deltas = np.array(protocol._pump(config.n_p, reset, eps * protocol.THERMAL_DEVIATION))
+    _check_simplex(deltas)
+    sig = kinetics._detected_signal(kinetics._so_of_deviation(deltas), eps, config.tau_ev, ts)
+    so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
+    ideal = config.mode == "ideal"
+    lines = ["n_p,so,signal" + (",closed_form_so" if ideal else ""), SIGNAL_NOTE]
+    for k, (so_k, sig_k) in enumerate(zip(so.tolist(), sig.tolist())):
+        closed = f",{_fmt(protocol.closed_form_so(k, eps))}" if ideal else ""
+        lines.append(f"{k},{_fmt(so_k)},{_fmt(sig_k)}{closed}")
     return lines, EXIT_OK
 
 
@@ -276,20 +287,13 @@ def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
     if config.n_p % 2:
         raise ConfigError("enhance is defined for even permutation counts")
     params, eps = _population_params(config)
-    zo_eq = eps / (2.0 * np.sqrt(2.0))
-    if config.mode == "ideal":
-        pumped = protocol.run_ideal(config.n_p, eps)
-        enhanced = protocol.enhance_zeeman(pumped, eps)
-        ratio = measure_order(enhanced, ZEEMAN_ORDER) / zo_eq
-    else:
-        ratio = kinetics.zeeman_enhancement_ratio(
-            config.n_p, config.tau, config.tau_prime, params
-        )
-    lines = [
-        "zo_ratio,spin_temperature_ratio",
-        f"{_fmt(ratio)},{_fmt(1.0 / ratio)}",
-    ]
-    return lines, EXIT_OK
+    (reset, reset_prime), _ = _engine(config, params, eps, config.tau, config.tau_prime)
+    source = eps * protocol.THERMAL_DEVIATION
+    deltas = protocol._pump(config.n_p, reset, source)
+    enhanced = protocol._enhance(deltas[-1], reset_prime, source)
+    _check_simplex(np.array(deltas + [enhanced]))
+    ratio = np.dot(ZEEMAN_ORDER.eigenvalues, enhanced) / (eps / (2.0 * np.sqrt(2.0)))
+    return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], EXIT_OK
 
 
 #: Largest step error of a reported fidelity that passes without a warning.

@@ -117,10 +117,6 @@ class PopulationVector:
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
 
-    def as_array(self) -> np.ndarray:
-        """Writable copy of the populations."""
-        return self.p.copy()
-
 
 class OrderKind(enum.Enum):
     ZEEMAN = "zeeman"

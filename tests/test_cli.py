@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singletcool
-from singletcool import SINGLET_ORDER, kinetics, protocol
+from singletcool import kinetics, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -97,29 +97,51 @@ class TestPumpCommand:
             assert float(sig) == signal
             assert float(so) == signal * eps * np.sqrt(3.0) / 4.0
 
-    def test_kinetic_mode_runs_one_pump(self, tmp_path, monkeypatch):
-        spy = mock.Mock(wraps=kinetics.run_kinetic)
-        monkeypatch.setattr(kinetics, "run_kinetic", spy)
-        code, lines = run_cli(tmp_path, "pumpk1", "pump", "--mode", "kinetic", "--np", "12")
-        assert code == EXIT_OK
-        assert len(data_rows(lines)) == 13
-        assert spy.call_count == 1
-
-    def test_ideal_mode_runs_one_pump(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _pumps_per_run(tmp_path, monkeypatch, *args):
         spy = mock.Mock(wraps=protocol._pump)
         monkeypatch.setattr(protocol, "_pump", spy)
-        code, lines = run_cli(tmp_path, "pumpi1", "pump", "--mode", "ideal", "--np", "200")
+        code, lines = run_cli(tmp_path, "onepump", *args)
         assert code == EXIT_OK
-        assert spy.call_count == 1
+        return spy.call_count, lines
+
+    def test_kinetic_mode_runs_one_pump(self, tmp_path, monkeypatch):
+        calls, lines = self._pumps_per_run(
+            tmp_path, monkeypatch, "pump", "--mode", "kinetic", "--np", "12")
+        assert len(data_rows(lines)) == 13
+        assert calls == 1
+        calls, lines = self._pumps_per_run(
+            tmp_path, monkeypatch, "enhance", "--mode", "kinetic", "--np", "12")
+        assert len(lines) == 2
+        assert calls == 1
+
+    def test_ideal_mode_runs_one_pump(self, tmp_path, monkeypatch):
+        calls, lines = self._pumps_per_run(
+            tmp_path, monkeypatch, "enhance", "--mode", "ideal", "--np", "12")
+        assert len(lines) == 2
+        assert calls == 1
+        calls, lines = self._pumps_per_run(
+            tmp_path, monkeypatch, "pump", "--mode", "ideal", "--np", "200")
+        assert calls == 1
         eps = singletcool.epsilon(singletcool.SpinSystemParams())
+        source = eps * protocol.THERMAL_DEVIATION
         rows = data_rows(lines)
         assert len(rows) == 201
         for k, row in enumerate(rows):
-            # each row equals the per-point readout of its own pump, bit for bit
-            so = singletcool.measure_order(singletcool.run_ideal(k, eps), SINGLET_ORDER)
-            sig = singletcool.signal_from_singlet_order(so, eps)
+            # each row equals the deviation readout of its own pump, bit for bit
+            delta = protocol._pump(k, protocol.RESET0, source)[-1]
+            sig = singletcool.signal_from_singlet_order(kinetics._so_of_deviation(delta), eps)
+            so = sig * eps * np.sqrt(3.0) / 4.0
             cf = singletcool.closed_form_so(k, eps)
-            assert row.split(",") == [str(k), repr(so), repr(sig), repr(float(cf))]
+            assert row.split(",") == [str(k), repr(float(so)), repr(sig), repr(float(cf))]
+
+    def test_ideal_so_cells_within_round_off_of_closed_form(self, tmp_path):
+        code, lines = run_cli(tmp_path, "pumpcf", "pump", "--mode", "ideal", "--np", "200")
+        assert code == EXIT_OK
+        eps = singletcool.epsilon(singletcool.SpinSystemParams())
+        rows = [row.split(",") for row in data_rows(lines)]
+        assert len(rows) == 201
+        assert max(abs(float(so) - float(cf)) for _, so, _, cf in rows) <= 1e-15 * abs(eps)
 
     def test_ideal_rows_fail_at_the_first_row_off_the_simplex(self, tmp_path, capsys):
         # eps ~ 0.7: the first-order rows leave the simplex part way through the pump
@@ -139,6 +161,14 @@ class TestPumpCommand:
         assert code == EXIT_COMPUTE
         assert lines == []
         assert capsys.readouterr().err.startswith(f"computation failed: {messages[0]}\n")
+
+    def test_pump_maps_no_tau_prime_interval(self, capsys):
+        # k_T * tau' overflows float64: enhance warns of it, pump never maps tau'
+        args = ["--t1", "1e-5", "--ts", "1", "--tau-prime", "1e305", "--np", "2"]
+        assert main(["enhance", *args]) == EXIT_OK
+        assert capsys.readouterr().err == "warning: overflow encountered in multiply\n"
+        assert main(["pump", *args]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_huge_singlet_lifetime_is_a_computation_failure(self, tmp_path, capsys):
         # finite but so far above t1 that the rate self-check cannot hold;
@@ -226,8 +256,8 @@ class TestEnhanceCommand:
         assert code == EXIT_OK
         assert lines[0] == "zo_ratio,spin_temperature_ratio"
         ratio, temp_ratio = map(float, lines[1].split(","))
-        assert ratio == pytest.approx(1.5, rel=1e-9)
-        assert temp_ratio == pytest.approx(2 / 3, rel=1e-9)
+        assert ratio == pytest.approx(1.5, rel=1e-15, abs=0.0)
+        assert temp_ratio == pytest.approx(2 / 3, rel=1e-15, abs=0.0)
 
     def test_kinetic_gain_in_band(self, tmp_path):
         code, lines = run_cli(
@@ -237,6 +267,23 @@ class TestEnhanceCommand:
         ratio = float(lines[1].split(",")[0])
         assert 1.21 <= ratio <= 1.5
         assert ratio == pytest.approx(1.350098140870527, rel=1e-9)
+
+    @pytest.mark.parametrize("system", [
+        {},
+        {"gamma": -2.7116e7, "b0": 9.4},
+        {"t1": 2.5, "ts": 400.0, "temperature": 77.0},
+        {"j": 12.0, "t1": 11.0, "ts": 35.0, "b0": 1.5},
+    ], ids=["reference", "negative-gamma", "long-ts", "short-ts"])
+    def test_kinetic_ratio_equals_the_library(self, tmp_path, system):
+        argv = [x for name, value in system.items() for x in (flag_of(name), repr(value))]
+        code, lines = run_cli(
+            tmp_path, "enhpin", "enhance", "--mode", "kinetic", "--np", "10",
+            "--tau", "21.5", "--tau-prime", "13.0", *argv,
+        )
+        assert code == EXIT_OK
+        params = RunConfig(**system).spin_params()
+        ratio = singletcool.zeeman_enhancement_ratio(10, 21.5, 13.0, params)
+        assert lines[1].split(",")[0] == repr(float(ratio))
 
     def test_odd_count_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "enhodd", "enhance", "--mode", "ideal", "--np", "5")
@@ -548,6 +595,16 @@ class TestProcessStderr:
         assert "Traceback" not in proc.stderr
         # the high-temperature warning is still reported, after the error
         assert "\nwarning: eps = 0.995 is outside" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["pump", "enhance"])
+    def test_kinetic_rows_off_the_simplex_are_a_computation_failure(self, command):
+        # eps ~ 0.995 and tau = 100 s: the last pumped state is on the simplex,
+        # but rows 3 and 5 of the pump have a population of -0.06
+        proc = run_python("-m", "singletcool.cli", command, "--mode", "kinetic",
+                          "--temperature", "0.0085", "--tau", "100", "--np", "6")
+        assert proc.returncode == EXIT_COMPUTE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("computation failed: negative population")
 
     def test_config_error_comes_before_any_warning(self):
         proc = run_python("-m", "singletcool.cli", "pump", "--temperature", "1e-25")
