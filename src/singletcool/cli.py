@@ -14,6 +14,7 @@ regenerate the reference scenario of the bundled 13C2 spin pair.
 
 In pump and enhance, --mode picks only the resets: kinetic relaxation for tau and
 tau', or the ideal triplet reset, its T1 << tau << TS limit; each runs one path.
+The pulse-level engine `coherent` is imported on demand, by coherent-check alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import coherent, kinetics, protocol
+from . import kinetics, protocol
 from .core import (
     GAMMA_13C,
     POPULATION_TOL,
@@ -211,7 +212,7 @@ def _engine(config: RunConfig, params: SpinSystemParams, eps: float,
     """The reset maps of the intervals ``taus`` and the singlet lifetime of --mode.
 
     The ideal reset is relaxation in the T1 << tau << TS limit: `RESET0`, with no
-    decay during tau_ev.  Only the intervals asked for are mapped (a huge one warns of overflow).
+    decay during tau_ev.  Only the intervals asked for are mapped.
     """
     if config.mode == "ideal":
         return [protocol.RESET0] * len(taus), math.inf
@@ -308,12 +309,14 @@ def _fidelity_step_error(
     The rule is second order, so a run at m ~ n/2 steps (2 for n = 1) gives
     |F(n) - F(m)| / |(n/m)^2 - 1|, which is |F(n) - F(n/2)| / 3 for even n.
     """
+    from . import coherent
     m = 2 if n_steps == 1 else math.ceil(n_steps / 2)
     _, other = coherent.simulate_permutation(kind, params, n_steps=m)
     return abs(fidelity - other) / abs((n_steps / m) ** 2 - 1.0)
 
 
 def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
+    from . import coherent  # imported on demand: no other command needs it
     params = config.spin_params()
     lines = ["section,x,y"]
     spectrum = coherent.ab_spectrum(params)

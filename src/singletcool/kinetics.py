@@ -18,6 +18,7 @@ and I - Theta, and a relaxation interval of duration tau is exactly
 
     exp(R*tau) = P_eq + e^{-k_S tau} (Theta - P_eq) + e^{-(k_T+k_S) tau} (I - Theta).
 
+Maps are assembled from the parts (I, Theta - P_eq, I - Theta), cached per eps.
 tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet
 reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
 (1, 0), its T1 << tau << TS limit, and both engines share one pump loop
@@ -85,17 +86,27 @@ def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
     return k_t * (theta - eye) + k_s * (p_eq - eye)
 
 
-def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:
-    """exp(R*tau) in projector form; as P_eq + (Theta - P_eq) + (I - Theta) = I,
-    expm1 carries the departure from I, which keeps short intervals accurate.
-
-    An array of intervals gives the stack of maps, shape tau.shape + (4, 4),
-    each slice equal to the scalar call."""
+@functools.lru_cache(maxsize=8)
+def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, cached and read-only."""
     theta, p_eq = _projectors(eps)
-    eye = np.eye(4)
+    parts = (np.eye(4), theta - p_eq, np.eye(4) - theta)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:
+    """exp(R*tau) in projector form, from the parts cached per eps; as P_eq + (Theta - P_eq)
+    + (I - Theta) = I, expm1 carries the departure from I, which keeps short intervals accurate.
+
+    An array of intervals gives the stack of maps, shape tau.shape + (4, 4), each
+    slice equal to the scalar call.  A k*tau past float64 is exact: expm1(-inf) = -1."""
+    eye, d_so, d_t = _map_parts(eps)
     tau = np.asarray(tau, dtype=float)[..., None, None]
-    a, b = np.expm1(-k_s * tau), np.expm1(-(k_t + k_s) * tau)
-    return eye + a * (theta - p_eq) + b * (eye - theta)
+    with np.errstate(over="ignore"):
+        a, b = np.expm1(-k_s * tau), np.expm1(-(k_t + k_s) * tau)
+    return eye + a * d_so + b * d_t
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ class KineticProtocolResult:
 
 def _so_of_deviation(delta: np.ndarray) -> float | np.ndarray:
     """SO of a deviation, or elementwise the SOs of a (..., 4) stack of them."""
-    d0, d1, d2, d3 = np.moveaxis(delta, -1, 0)
+    d0, d1, d2, d3 = delta[..., 0], delta[..., 1], delta[..., 2], delta[..., 3]
     so = SINGLET_ORDER.normalization * (d0 - (d1 + d2 + d3) / 3.0)
     return so if np.ndim(so) else float(so)
 
@@ -232,7 +243,7 @@ def run_kinetic(
     # the deviation from the thermal fixed point relaxes under the eps = 0
     # generator (first order in eps)
     deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
-    trace = tuple(enumerate(_so_of_deviation(np.array(deltas)).tolist()))
+    trace = tuple(enumerate(_so_of_deviation(np.concatenate(deltas).reshape(-1, 4)).tolist()))
     delta = deltas[-1]
 
     zo_final: Optional[float] = None

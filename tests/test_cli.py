@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singletcool
-from singletcool import kinetics, protocol
+from singletcool import coherent, kinetics, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -163,12 +163,17 @@ class TestPumpCommand:
         assert capsys.readouterr().err.startswith(f"computation failed: {messages[0]}\n")
 
     def test_pump_maps_no_tau_prime_interval(self, capsys):
-        # k_T * tau' overflows float64: enhance warns of it, pump never maps tau'
-        args = ["--t1", "1e-5", "--ts", "1", "--tau-prime", "1e305", "--np", "2"]
-        assert main(["enhance", *args]) == EXIT_OK
-        assert capsys.readouterr().err == "warning: overflow encountered in multiply\n"
-        assert main(["pump", *args]) == EXIT_OK
-        assert capsys.readouterr().err == ""
+        # k_T * tau overflows float64; expm1(-inf) = -1 keeps the map exact, so no warning
+        args = ["--t1", "1e-5", "--ts", "1", "--np", "2"]
+        assert main(["enhance", *args, "--tau-prime", "1e305"]) == EXIT_OK
+        overflowed = capsys.readouterr()
+        assert overflowed.err == ""
+        # tau' = 1e200 already relaxes to the thermal map exactly
+        assert main(["enhance", *args, "--tau-prime", "1e200"]) == EXIT_OK
+        assert capsys.readouterr().out == overflowed.out
+        for tau in ("--tau-prime", "--tau"):
+            assert main(["pump", *args, tau, "1e305"]) == EXIT_OK
+            assert capsys.readouterr().err == ""
 
     def test_huge_singlet_lifetime_is_a_computation_failure(self, tmp_path, capsys):
         # finite but so far above t1 that the rate self-check cannot hold;
@@ -638,6 +643,26 @@ class TestCoherentCheckStepError:
 
 
 class TestImportFootprint:
+    def test_cli_imports_coherent_on_demand(self):
+        probe = "import sys, singletcool.cli; print('singletcool.coherent' in sys.modules)"
+        proc = run_python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_coherent_check_output_does_not_depend_on_the_import(self):
+        # imported on demand or beforehand, coherent-check writes the same report
+        run = "import sys; from singletcool.cli import main; sys.exit(main(sys.argv[1:]))"
+        args = ["coherent-check", "--n-steps", "600"]
+        lazy = run_python("-c", run, *args)
+        eager = run_python("-c", "import singletcool.coherent; " + run, *args)
+        assert lazy.returncode == eager.returncode == EXIT_OK
+        assert lazy.stderr == eager.stderr == ""
+        assert lazy.stdout == eager.stdout
+        rows = dict(ln.split(",", 1) for ln in lazy.stdout.splitlines())
+        params = singletcool.SpinSystemParams()
+        for kind in (protocol.Permutation.PI124, protocol.Permutation.PI142):
+            _, fidelity = coherent.simulate_permutation(kind, params, n_steps=600)
+            assert rows[f"fidelity_{kind.value}"] == f",{fidelity!r}"
+
     def test_every_command_runs_without_scipy(self):
         # the runtime needs only numpy: each command runs with scipy unimportable
         code = (

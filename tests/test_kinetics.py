@@ -191,6 +191,57 @@ class TestFiniteReset:
             finite_reset(rate, tau)
 
 
+_TAUS = st.floats(min_value=0.0, allow_nan=False)  # 0, +inf and intervals whose k*tau overflows
+
+
+class TestCachedMapParts:
+    # every map is assembled from (I, Theta - P_eq, I - Theta), cached per eps
+
+    @staticmethod
+    def _uncached_map(k_t, k_s, eps, tau):
+        theta, p_eq = kinetics._projectors(eps)
+        eye = np.eye(4)
+        tau = np.asarray(tau, dtype=float)[..., None, None]
+        with np.errstate(over="ignore"):
+            a, b = np.expm1(-k_s * tau), np.expm1(-(k_t + k_s) * tau)
+        return eye + a * (theta - p_eq) + b * (eye - theta)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        k_t=st.floats(1e-6, 1e6),
+        k_s=st.floats(1e-9, 1e3),
+        eps=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9)),
+        tau=st.one_of(
+            st.sampled_from([0.0, math.inf]),
+            _TAUS,
+            st.lists(_TAUS, min_size=1, max_size=6).map(np.array),
+        ),
+    )
+    def test_map_is_bit_identical_to_the_uncached_expression(self, k_t, k_s, eps, tau):
+        got = _relaxation_map(k_t, k_s, eps, tau)
+        want = self._uncached_map(k_t, k_s, eps, tau)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, 3e-5])
+    def test_cached_parts_are_read_only(self, eps):
+        for part in kinetics._map_parts(eps):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 2.0
+        assert kinetics._map_parts(eps) is kinetics._map_parts(eps)
+
+    @pytest.mark.parametrize("tau", [28.0, np.array([0.0, 28.0])])
+    def test_each_call_returns_a_fresh_writeable_map(self, tau):
+        first = _relaxation_map(0.13, 0.0047, 0.0, tau)
+        want = first.copy()
+        second = _relaxation_map(0.13, 0.0047, 0.0, tau)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        first[...] = np.nan  # a caller writing into one map leaves the next intact
+        assert _relaxation_map(0.13, 0.0047, 0.0, tau).tobytes() == want.tobytes()
+        assert second.tobytes() == want.tobytes()
+
+
 class TestRunKinetic:
     def test_ideal_reset_limit_reproduces_ideal_engine(self, default_params):
         # (e^{-k_S tau}, e^{-(k_T+k_S) tau}) = (1, 0) turns the relaxation
