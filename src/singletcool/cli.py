@@ -29,14 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kinetics, protocol
-from .core import (
-    GAMMA_13C,
-    POPULATION_TOL,
-    ZEEMAN_ORDER,
-    PopulationVector,
-    SpinSystemParams,
-    epsilon,
-)
+from .core import GAMMA_13C, ZEEMAN_ORDER, SpinSystemParams, epsilon
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -221,21 +214,13 @@ def _engine(config: RunConfig, params: SpinSystemParams, eps: float,
     return [kinetics._relaxation_map(rate.k_t, rate.k_s, 0.0, tau) for tau in taus], params.ts
 
 
-def _check_simplex(deltas: np.ndarray) -> None:
-    """PopulationVector's checks on every row of deviations; the first row to fail raises."""
-    p = 0.25 + deltas
-    bad = (p.min(axis=1) < -POPULATION_TOL) | ~(np.abs(p.sum(axis=1) - 1.0) <= POPULATION_TOL)
-    if bad.any():
-        PopulationVector(p[bad.argmax()])
-
-
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     """One row per permutation count from 0 to np."""
     params, eps = _population_params(config)
     (reset,), ts = _engine(config, params, eps, config.tau)
     # the pump for k permutations is a prefix of the pump for n_p
     deltas = np.array(protocol._pump(config.n_p, reset, eps * protocol.THERMAL_DEVIATION))
-    _check_simplex(deltas)
+    protocol.check_simplex(deltas)
     sig = kinetics._detected_signal(kinetics._so_of_deviation(deltas), eps, config.tau_ev, ts)
     so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
     ideal = config.mode == "ideal"
@@ -292,7 +277,7 @@ def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
     source = eps * protocol.THERMAL_DEVIATION
     deltas = protocol._pump(config.n_p, reset, source)
     enhanced = protocol._enhance(deltas[-1], reset_prime, source)
-    _check_simplex(np.array(deltas + [enhanced]))
+    protocol.check_simplex(np.array(deltas + [enhanced]))
     ratio = np.dot(ZEEMAN_ORDER.eigenvalues, enhanced) / (eps / (2.0 * np.sqrt(2.0)))
     return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], EXIT_OK
 

@@ -18,7 +18,8 @@ and I - Theta, and a relaxation interval of duration tau is exactly
 
     exp(R*tau) = P_eq + e^{-k_S tau} (Theta - P_eq) + e^{-(k_T+k_S) tau} (I - Theta).
 
-Maps are assembled from the parts (I, Theta - P_eq, I - Theta), cached per eps.
+Maps are assembled from the parts (I, Theta - P_eq, I - Theta), and the generator
+from (Theta - I, P_eq - I), each cached per eps.
 tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet
 reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
 (1, 0), its T1 << tau << TS limit, and both engines share one pump loop
@@ -61,6 +62,7 @@ from .protocol import (
     _enhance,
     _pump,
     _reset_matrix,
+    check_simplex,
     signal_from_singlet_order,
 )
 
@@ -79,11 +81,18 @@ def _projectors(eps: float) -> tuple[np.ndarray, np.ndarray]:
     return _reset_matrix(eps), np.tile(p_eq.reshape(4, 1), (1, 4))
 
 
+@functools.lru_cache(maxsize=8)
+def _generator_parts(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rate-independent parts (Theta - I, P_eq - I) at eps, cached and read-only."""
+    parts = np.array(_projectors(eps)) - np.eye(4)
+    parts.flags.writeable = False
+    return tuple(parts)
+
+
 def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
-    """R = k_T(Theta(eps) - I) + k_S(P_eq(eps) - I)."""
-    theta, p_eq = _projectors(eps)
-    eye = np.eye(4)
-    return k_t * (theta - eye) + k_s * (p_eq - eye)
+    """R = k_T(Theta(eps) - I) + k_S(P_eq(eps) - I), from the parts cached per eps."""
+    d_theta, d_eq = _generator_parts(eps)
+    return k_t * d_theta + k_s * d_eq
 
 
 @functools.lru_cache(maxsize=8)
@@ -136,7 +145,8 @@ class RateMatrix:
 def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
     """Build the rate matrix whose ZO mode decays at 1/t1 and SO mode at 1/ts.
 
-    Memoized, so the self-check runs once per (t1, ts, eps); failures are not cached.
+    The generator and the eps = 0 one of the self-check are read off parts cached
+    per eps.  Memoized, so the self-check runs once per (t1, ts, eps); failures are not cached.
 
     Raises:
         ValueError: unless 0 < t1 < ts (k_T would be nonpositive).
@@ -243,13 +253,16 @@ def run_kinetic(
     # the deviation from the thermal fixed point relaxes under the eps = 0
     # generator (first order in eps)
     deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
-    trace = tuple(enumerate(_so_of_deviation(np.concatenate(deltas).reshape(-1, 4)).tolist()))
+    rows = np.concatenate(deltas).reshape(-1, 4)
+    check_simplex(rows)
+    trace = tuple(enumerate(_so_of_deviation(rows).tolist()))
     delta = deltas[-1]
 
     zo_final: Optional[float] = None
     if enhance:
         tp = tau if tau_prime is None else tau_prime
         delta_enh = _enhance(delta, _relaxation_map(rate.k_t, rate.k_s, 0.0, tp), source)
+        check_simplex(delta_enh)
         zo_final = float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
 
     return KineticProtocolResult(
@@ -307,10 +320,10 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     eps = epsilon(params)
     rate = calibrate_rates(params.t1, params.ts, eps)
     deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, grid), eps * THERMAL_DEVIATION)
+    # the source row, then every (grid.size, 4) row of the pump in step order
+    check_simplex(np.concatenate(deltas, axis=None))
     # with n_p = 0 the pump never resets and returns the bare source
     pumped = np.broadcast_to(deltas[-1], (grid.size, 4))
-    # run_kinetic's population check, made on the point nearest to leaving the simplex
-    PopulationVector(0.25 + pumped[np.argmin(pumped.min(axis=1))])
     sig = signal_from_singlet_order(_so_of_deviation(pumped), eps)
     points = tuple(zip(grid.tolist(), sig.tolist()))
     best = int(np.argmax(np.abs(sig)))  # the first maximum
@@ -325,8 +338,7 @@ def decay_curve(
 ) -> tuple[tuple[float, float], ...]:
     """Signal versus post-pump evolution interval tau_ev, from one pump."""
     grid = _check_grid(tau_ev_grid, "tau_ev_grid")
-    so = run_kinetic(n_p, tau, 0.0, params).so_trace[-1][1]
-    s0 = signal_from_singlet_order(so, epsilon(params))
+    s0 = run_kinetic(n_p, tau, 0.0, params).signal
     # math.exp, not np.exp, which rounds differently on some inputs
     return tuple((tev, s0 * math.exp(-tev / params.ts)) for tev in grid.tolist())
 
@@ -347,71 +359,81 @@ class FitResult:
     message: str = ""
 
 
-def _projected_fit(k: float, t: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Amplitude A(k) = (e.y)/(e.e), residual and Kaufman Jacobian of y ~ A e, e = exp(-k t)."""
+def _projected_fit(k: float, t: np.ndarray,
+                   y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """A(k) = (e.y)/(e.e), residual r, Kaufman Jacobian and r.r of y ~ A e, e = exp(-k t)."""
     e = np.exp(-k * t)
     ee, te = e @ e, t * e
-    a = (e @ y) / ee
-    return a, y - a * e, a * (te - ((e @ te) / ee) * e)
+    a = (e @ y) / ee  # numpy scalars: an e that underflows to 0 gives nan, not an error
+    r = y - a * e
+    return a, r, a * (te - ((e @ te) / ee) * e), float(r @ r)
+
+
+def _seed_rate(t: np.ndarray, y: np.ndarray) -> float:
+    """Minus the centred least-squares slope of log|y| on t over the nonzero y, in closed
+    form, or 1/(t spread) where those points span one time or the slope is not finite."""
+    nz = y != 0.0
+    tm, ly = t[nz], np.log(np.abs(y[nz]))
+    tc = tm - tm.mean()
+    k = -(tc @ (ly - ly.mean())) / (tc @ tc) if tm.min() < tm.max() else math.nan
+    return float(k) if math.isfinite(k) else float(1.0 / np.ptp(t))
 
 
 def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
     """Least-squares fit of y = A*exp(-t/T), no offset term, by variable projection.
 
     The linear amplitude is projected out (Golub & Pereyra 1973), and Gauss-Newton
-    with Kaufman's (1975) Jacobian runs on the rate k = 1/T alone, seeded by a
-    log-linear fit of |y|; a step that makes the residual grow is halved.  Once
-    the gradient changes sign between two rates, the secant step of the gradient
-    replaces the Gauss-Newton one, which can overshoot on noisy data.  At least
-    3 finite points with nonnegative times are required.
+    with Kaufman's (1975) Jacobian runs on the rate k = 1/T alone, in Python floats,
+    seeded by the closed-form log-linear line of `_seed_rate`; a step that makes
+    the residual grow is halved.  Once the gradient changes sign between two rates,
+    the secant step of the gradient replaces the Gauss-Newton one, which can
+    overshoot on noisy data.  At least 3 finite (t, y) pairs with nonnegative times
+    are required.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+    try:  # the columns (t, y) of points that are pairs; anything else fails below
+        pts = np.array(tuple(zip(*points, strict=True)), dtype=float)
+    except (TypeError, ValueError):
+        pts = np.empty(0)
+    if pts.ndim != 2 or pts.shape[0] != 2 or pts.shape[1] < 3:
         raise ValueError("need at least 3 (t, y) points")
     if not np.isfinite(pts).all():
         raise ValueError("times and values must be finite")
-    t, y = pts[:, 0], pts[:, 1]
+    t, y = pts
     if t.min() < 0.0:
         raise ValueError("times must be nonnegative")
-    if np.ptp(y) == 0.0:
+    if y.max() == y.min():
         return FitResult(np.nan, np.nan, 0.0, ok=False, message="constant data")
-    if np.ptp(t) == 0.0:
+    if t.max() == t.min():
         return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False, "all times are equal")
 
-    # log-linear seed on the nonzero |y|; growing data seed k < 0, flagged below
-    mask = np.abs(y) > 0.0
-    if mask.sum() >= 2 and np.ptp(t[mask]) > 0.0:
-        k = -np.polyfit(t[mask], np.log(np.abs(y[mask])), 1)[0]
-    else:
-        k = 1.0 / np.ptp(t)
-
     with np.errstate(all="ignore"):  # trial rates may overflow exp; halving rejects them
-        a, r, jac = _projected_fit(k, t, y)
+        k = _seed_rate(t, y)  # growing data seed k < 0, flagged below
+        a, r, jac, rr = _projected_fit(k, t, y)
         k_prev = grad_prev = None
         for _ in range(_FIT_MAX_STEPS):
-            grad = jac @ r  # the exact gradient of |r|^2/2 in k
-            step = -grad / (jac @ jac)
+            grad, jj = float(jac @ r), float(jac @ jac)  # grad: the exact gradient of |r|^2/2
+            step = -grad / jj if jj else math.nan
             if grad_prev is not None and grad * grad_prev < 0.0:
                 # the Gauss-Newton steps changed sign, so a minimum lies between
                 # the last two rates; the secant step of the gradient stays there
                 step = -grad * (k - k_prev) / (grad - grad_prev)
+            if not math.isfinite(step):
+                # the model no longer depends on k: every rate as extreme fits as well
+                return FitResult(np.nan, np.nan, math.sqrt(rr), False, "rate not identifiable")
             k_prev, grad_prev = k, grad
             for _ in range(_FIT_MAX_STEPS):
                 trial = _projected_fit(k + step, t, y)
-                if trial[1] @ trial[1] <= r @ r:
-                    k, (a, r, jac) = k + step, trial
+                if trial[3] <= rr:
+                    k, (a, r, jac, rr) = k + step, trial
                     break
                 step /= 2
             # a step too small to lower the residual leaves k at a minimum to round-off
-            converged = abs(step) <= _FIT_RTOL * abs(k)
-            if converged or not np.isfinite(step):
+            if abs(step) <= _FIT_RTOL * abs(k):
                 break
-        time_constant = float(1.0 / k)
-    if not np.isfinite(step):
-        # the model no longer depends on k: every rate as extreme fits as well
-        return FitResult(np.nan, np.nan, float(np.linalg.norm(r)), False, "rate not identifiable")
-    if not converged:
-        return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False, "fit did not converge")
-    ok = bool(np.isfinite(time_constant) and time_constant > 0.0)
-    return FitResult(float(a), time_constant, float(np.linalg.norm(r)), ok,
+        else:
+            return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False,
+                             "fit did not converge")
+        time_constant = float(np.divide(1.0, k))  # k = 0 gives an infinite T, flagged below
+    ok = math.isfinite(time_constant) and time_constant > 0.0
+    return FitResult(float(a), time_constant, math.sqrt(rr), ok,
                      "" if ok else "nonpositive time constant")

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    POPULATION_TOL,
     SINGLET_ORDER,
     PopulationVector,
     measure_order,
@@ -94,6 +95,8 @@ RESET0 = _reset_matrix(0.0)
 
 #: Deviation of the thermal state from uniform populations, per unit eps.
 THERMAL_DEVIATION = np.array([0.0, 0.25, 0.0, -0.25])
+
+_ONES = np.ones(4)
 
 
 @dataclass(frozen=True)
@@ -214,6 +217,18 @@ def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
             return out + (out[-2:] * (rest // 2 + 1))[:rest]
         older, last = last, key
     return out
+
+
+def check_simplex(deltas: np.ndarray) -> None:
+    """PopulationVector's checks on every row of a (..., 4) stack of deviations from uniform;
+    the first row to fail, in C order, raises its ValueError."""
+    d = deltas.reshape(-1, 4)
+    sums = d @ _ONES
+    # rows with every population >= 0 and a sum within tol/2 of 1 pass whatever the round-off;
+    # two whole-array reductions screen for them, as numpy reduces a length-4 axis slowly
+    if not (d.min() >= -0.25 and sums @ sums <= (POPULATION_TOL / 2) ** 2):
+        for row in 0.25 + d:
+            PopulationVector(row)
 
 
 def _enhance(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from singletcool import (
     zeeman_enhancement_ratio,
 )
 from singletcool.kinetics import _relaxation_map
-from singletcool.protocol import RESET0, THERMAL_DEVIATION, _pump
+from singletcool.protocol import RESET0, THERMAL_DEVIATION, _pump, check_simplex
 
 from conftest import random_populations
 
@@ -237,6 +237,37 @@ class TestPumpLoop:
     def test_negative_count_rejected_by_every_engine(self, run):
         with pytest.raises(ValueError, match="n_p must be >= 0"):
             run(SpinSystemParams())
+
+
+class TestCheckSimplex:
+    """PopulationVector's checks over every row of deviations, behind a vectorised screen."""
+
+    def test_rows_on_the_simplex_pass(self, rng):
+        rows = random_populations(rng, 50)
+        check_simplex(rows.reshape(5, 10, 4) - 0.25)
+        rows[7] = [0.5, 0.5, -1e-13, 1e-13]  # fails the screen, within PopulationVector's tolerance
+        check_simplex(rows - 0.25)
+
+    @pytest.mark.parametrize("shape", [(12, 4), (3, 4, 4)])
+    def test_the_first_row_off_the_simplex_raises_its_own_error(self, rng, shape):
+        rows = random_populations(rng, 12)
+        rows[5] = [0.5, 0.6, -0.1, 0.0]  # negative
+        rows[7] = [0.3, 0.3, 0.3, 0.3]  # sums to 1.2
+        rows[9] = [0.6, 0.6, -0.2, 0.0]  # more negative, later
+        for first in (5, 7):
+            with pytest.raises(ValueError) as want:
+                PopulationVector(rows[first])
+            with pytest.raises(ValueError) as got:
+                check_simplex(rows.reshape(shape) - 0.25)
+            assert str(got.value) == str(want.value)
+            rows[5] = rows[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_raise(self, rng, bad):
+        rows = random_populations(rng, 4)
+        rows[2, 1] = bad
+        with pytest.raises(ValueError):
+            check_simplex(rows - 0.25)
 
 
 class TestRunIdeal:
