@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kinetics, protocol
-from .core import GAMMA_13C, ZEEMAN_ORDER, SpinSystemParams, epsilon
+from .core import GAMMA_13C, SpinSystemParams, epsilon
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -219,7 +219,7 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     params, eps = _population_params(config)
     (reset,), ts = _engine(config, params, eps, config.tau)
     # the pump for k permutations is a prefix of the pump for n_p
-    deltas = np.array(protocol._pump(config.n_p, reset, eps * protocol.THERMAL_DEVIATION))
+    deltas = protocol._pump(config.n_p, reset, eps * protocol.THERMAL_DEVIATION)
     protocol.check_simplex(deltas)
     sig = kinetics._detected_signal(kinetics._so_of_deviation(deltas), eps, config.tau_ev, ts)
     so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
@@ -276,9 +276,8 @@ def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
     (reset, reset_prime), _ = _engine(config, params, eps, config.tau, config.tau_prime)
     source = eps * protocol.THERMAL_DEVIATION
     deltas = protocol._pump(config.n_p, reset, source)
-    enhanced = protocol._enhance(deltas[-1], reset_prime, source)
-    protocol.check_simplex(np.array(deltas + [enhanced]))
-    ratio = np.dot(ZEEMAN_ORDER.eigenvalues, enhanced) / (eps / (2.0 * np.sqrt(2.0)))
+    protocol.check_simplex(deltas)
+    ratio = kinetics._enhanced_zo(deltas[-1], reset_prime, source) / (eps / (2.0 * np.sqrt(2.0)))
     return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], EXIT_OK
 
 

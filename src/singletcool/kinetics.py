@@ -19,20 +19,19 @@ and I - Theta, and a relaxation interval of duration tau is exactly
     exp(R*tau) = P_eq + e^{-k_S tau} (Theta - P_eq) + e^{-(k_T+k_S) tau} (I - Theta).
 
 Maps are assembled from the parts (I, Theta - P_eq, I - Theta), and the generator
-from (Theta - I, P_eq - I), each cached per eps.
-tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet
-reset Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to
-(1, 0), its T1 << tau << TS limit, and both engines share one pump loop
-(`protocol._pump`) and one enhancement stage (`protocol._enhance`).
+from (Theta - I, P_eq - I), each cached per eps.  tau -> infinity gives complete
+rethermalization (P_eq).  The ideal triplet reset Theta is the same map with
+(e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its T1 << tau << TS limit, and
+both engines share one pump loop (`protocol._pump`) and one enhancement stage
+(`protocol._enhance`).
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
-pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
-pump, as one array: a decay curve scales its final SO, the build-up is its SO
-trace, and a tau sweep pumps the (n_tau, 4, 4) stack of its grid's maps.  The
-pump permutes by row gathers and stops at the exact 2-cycle, where a state is
-bit-equal to the state two steps back, so its output is bit-identical to the
-full step walk; the rates calibrate once per spin system.
+pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off the
+one array of deviations that `_pumped` fills: it calibrates the rates (once per
+spin system), pumps and checks every row on the simplex.  The build-up is the SO
+of every row, a decay curve scales the SO of the last row, the enhancement ratio
+enhances the last row, and a tau sweep pumps the stack of its grid's maps.
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
@@ -45,7 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -222,6 +221,35 @@ def _detected_signal(so: float | np.ndarray, eps: float, tau_ev: float,
     return signal_from_singlet_order(so, eps) * math.exp(-tau_ev / ts)
 
 
+def _check_intervals(tau: float, tau_ev: float = 0.0, tau_prime: Optional[float] = None) -> None:
+    """Reject a negative or NaN interval; tau and tau_ev are checked before tau_prime."""
+    if not (tau >= 0.0 and tau_ev >= 0.0):
+        raise ValueError("tau and tau_ev must be >= 0")
+    if tau_prime is not None and not tau_prime >= 0.0:
+        raise ValueError("tau_prime must be >= 0")
+
+
+def _pumped(n_p: int, tau: float | np.ndarray, params: SpinSystemParams
+            ) -> tuple[float, np.ndarray, np.ndarray, Callable[[float], np.ndarray]]:
+    """eps, the thermal source, the pump of n_p permutations with resets of duration tau (an
+    array pumps their stack), each row checked on the simplex, and the eps = 0 map of any
+    interval, under which the deviation from thermal relaxes (first order in eps)."""
+    eps = epsilon(params)
+    rate = calibrate_rates(params.t1, params.ts, eps)
+    relax = functools.partial(_relaxation_map, rate.k_t, rate.k_s, 0.0)
+    source = eps * THERMAL_DEVIATION
+    deltas = _pump(n_p, relax(tau), source)
+    check_simplex(deltas)
+    return eps, source, deltas, relax
+
+
+def _enhanced_zo(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> float:
+    """ZO after the enhancement stage of a pumped deviation, its state checked on the simplex."""
+    delta_enh = _enhance(delta, reset, source)
+    check_simplex(delta_enh)
+    return float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
+
+
 def run_kinetic(
     n_p: int,
     tau: float,
@@ -241,35 +269,15 @@ def run_kinetic(
     duration tau_prime (defaulting to tau) and the 1<->2 population swap,
     and the resulting Zeeman order is reported in ``zo_final``.
     """
-    if not (tau >= 0.0 and tau_ev >= 0.0):
-        raise ValueError("tau and tau_ev must be >= 0")
-    if tau_prime is not None and not tau_prime >= 0.0:
-        raise ValueError("tau_prime must be >= 0")
-
-    eps = epsilon(params)
-    rate = calibrate_rates(params.t1, params.ts, eps)
-    source = eps * THERMAL_DEVIATION
-
-    # the deviation from the thermal fixed point relaxes under the eps = 0
-    # generator (first order in eps)
-    deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
-    rows = np.concatenate(deltas).reshape(-1, 4)
-    check_simplex(rows)
-    trace = tuple(enumerate(_so_of_deviation(rows).tolist()))
-    delta = deltas[-1]
-
-    zo_final: Optional[float] = None
-    if enhance:
-        tp = tau if tau_prime is None else tau_prime
-        delta_enh = _enhance(delta, _relaxation_map(rate.k_t, rate.k_s, 0.0, tp), source)
-        check_simplex(delta_enh)
-        zo_final = float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
-
+    _check_intervals(tau, tau_ev, tau_prime)
+    eps, source, deltas, relax = _pumped(n_p, tau, params)
+    trace = tuple(enumerate(_so_of_deviation(deltas).tolist()))
+    tp = tau if tau_prime is None else tau_prime
     return KineticProtocolResult(
-        populations_after_pump=PopulationVector(0.25 + delta),
+        populations_after_pump=PopulationVector(0.25 + deltas[-1]),
         so_trace=trace,
         signal=_detected_signal(trace[-1][1], eps, tau_ev, params.ts),
-        zo_final=zo_final,
+        zo_final=_enhanced_zo(deltas[-1], relax(tp), source) if enhance else None,
     )
 
 
@@ -280,11 +288,10 @@ def zeeman_enhancement_ratio(
     params: SpinSystemParams,
 ) -> float:
     """ZO after pump + final reset + swap, relative to thermal Zeeman order."""
-    res = run_kinetic(n_p, tau, 0.0, params, enhance=True, tau_prime=tau_prime)
-    eps = epsilon(params)
-    zo_eq = eps / (2.0 * np.sqrt(2.0))
-    assert res.zo_final is not None
-    return res.zo_final / zo_eq
+    _check_intervals(tau, 0.0, tau_prime)
+    eps, source, deltas, relax = _pumped(n_p, tau, params)
+    zo = _enhanced_zo(deltas[-1], relax(tau if tau_prime is None else tau_prime), source)
+    return zo / (eps / (2.0 * np.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -310,21 +317,13 @@ def _check_grid(grid: Sequence[float], name: str) -> np.ndarray:
 def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> TauSweep:
     """Signal versus reset duration, from one pump over the whole grid.
 
-    The relaxation maps of all grid points are stacked and pumped together
-    by one `protocol._pump`, and the signals read off as one array; each
-    point equals ``run_kinetic(n_p, tau, 0.0, params).signal``.  Results are
-    ordered by the input grid.  The optimum is the first grid point of
-    largest signal magnitude.
+    The maps of the grid points are pumped as one stack and the signals read off
+    its last state, one row per point, in grid order; each equals ``run_kinetic(n_p,
+    tau, 0.0, params).signal``.  The optimum is the first point of largest magnitude.
     """
     grid = _check_grid(tau_grid, "tau_grid")
-    eps = epsilon(params)
-    rate = calibrate_rates(params.t1, params.ts, eps)
-    deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, grid), eps * THERMAL_DEVIATION)
-    # the source row, then every (grid.size, 4) row of the pump in step order
-    check_simplex(np.concatenate(deltas, axis=None))
-    # with n_p = 0 the pump never resets and returns the bare source
-    pumped = np.broadcast_to(deltas[-1], (grid.size, 4))
-    sig = signal_from_singlet_order(_so_of_deviation(pumped), eps)
+    eps, _, deltas, _ = _pumped(n_p, grid, params)
+    sig = signal_from_singlet_order(_so_of_deviation(deltas[-1]), eps)
     points = tuple(zip(grid.tolist(), sig.tolist()))
     best = int(np.argmax(np.abs(sig)))  # the first maximum
     return TauSweep(points=points, tau_star=points[best][0], signal_star=points[best][1])
@@ -338,7 +337,9 @@ def decay_curve(
 ) -> tuple[tuple[float, float], ...]:
     """Signal versus post-pump evolution interval tau_ev, from one pump."""
     grid = _check_grid(tau_ev_grid, "tau_ev_grid")
-    s0 = run_kinetic(n_p, tau, 0.0, params).signal
+    _check_intervals(tau)
+    eps, _, deltas, _ = _pumped(n_p, tau, params)
+    s0 = signal_from_singlet_order(_so_of_deviation(deltas[-1]), eps)
     # math.exp, not np.exp, which rounds differently on some inputs
     return tuple((tev, s0 * math.exp(-tev / params.ts)) for tev in grid.tolist())
 

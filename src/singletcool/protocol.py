@@ -181,40 +181,40 @@ _PERM_ROWS = {label: m.argmax(axis=1) for label, m in _PERM_MATRICES.items()}
 _CYCLE = (_PERM_ROWS[Permutation.PI124], _PERM_ROWS[Permutation.PI142])
 
 
-def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> list[np.ndarray]:
-    """Deviations from uniform after 0..n_p pump permutations from thermal.
+def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Deviations from uniform after 0..n_p pump permutations from thermal, as one array.
 
-    The steps are those of the module docstring.  The pump starts at the
-    thermal deviation ``source``; each reset maps delta -> source + reset @
-    (delta - source), so the thermal state is a fixed point of every reset.
-    `run_ideal` passes `RESET0` and the kinetic engine the relaxation map of
-    a finite interval, or a stack of maps of shape (n, 4, 4), which pumps n
-    intervals at once and gives deviations of shape (n, 4).  The deviation
-    is carried as a column: every reset is a matrix-vector product for any
-    n, and every permutation the exact row gather of its 0/1 matrix, taken
-    once per call from the rows of ``source`` and ``reset``.
+    The steps are those of the module docstring.  The pump starts at the thermal
+    deviation ``source``; each reset maps delta -> source + reset @ (delta - source),
+    so the thermal state is a fixed point of every reset.  `run_ideal` passes `RESET0`
+    and the kinetic engine the relaxation map of a finite interval, or a stack of maps
+    of shape (n, 4, 4), which pumps n intervals at once.  Each call fills a new float64
+    array of shape (n_p + 1, *reset.shape[:-2], 4), state 0 ``source`` in every batch
+    row.  The deviation is carried as a column: a reset is a matrix-vector product, a
+    permutation the exact row gather of its 0/1 matrix, taken once per call.
 
-    Each step depends only on the parity of its count, so once a state is
-    bit-equal to the state two steps back, every later state repeats with
-    period 2, bit for bit.  The loop stops at that exact 2-cycle and fills
-    the rest of the list with the last two states, so the output is
-    bit-identical to the full step walk; repeated entries share memory.
+    Each step depends only on the parity of its count, so once a state is bit-equal to
+    the state two steps back, every later state repeats with period 2, bit for bit.  The
+    loop stops at that exact 2-cycle and fills the remaining states with the last two,
+    so the output is that of the full step walk.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
+    out = np.empty((n_p + 1, *reset.shape[:-2], 4))
+    out[0] = source
     delta = source = source[:, None]
     steps = [(source.take(rows, axis=-2), reset.take(rows, axis=-2)) for rows in _CYCLE]
-    out = [delta[..., 0]]
     older, last = None, delta.tobytes()  # the bytes of the last two states
     for k in range(n_p):
         gathered_source, gathered_reset = steps[k % 2]
         delta = gathered_source + gathered_reset @ (delta - source)
-        out.append(delta[..., 0])
+        out[k + 1] = delta[..., 0]
         key = delta.tobytes()
         if key == older:
             # from here on every state is the state two steps back
-            rest = n_p - 1 - k
-            return out + (out[-2:] * (rest // 2 + 1))[:rest]
+            out[k + 2::2] = out[k]
+            out[k + 3::2] = out[k + 1]
+            break
         older, last = last, key
     return out
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -347,6 +348,78 @@ class TestRunKinetic:
                     evolved = run_kinetic(n, tau, tau_ev, default_params).signal
                     assert evolved == pytest.approx(base * np.exp(-tau_ev / ts), rel=1e-12)
 
+    def test_one_pump_per_enhancement_ratio(self, default_params, monkeypatch):
+        spy = mock.Mock(wraps=kinetics._pump)
+        monkeypatch.setattr(kinetics, "_pump", spy)
+        ratio = zeeman_enhancement_ratio(6, 28.0, 18.0, default_params)
+        assert spy.call_count == 1
+        assert ratio == pytest.approx(ENHANCEMENT_REFERENCE, rel=1e-9)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        t1=st.floats(0.05, 50.0),
+        ratio=st.floats(1.5, 500.0),
+        gamma_sign=st.sampled_from([1.0, -1.0]),
+        n_p=st.integers(0, 300),
+        tau_over_t1=st.one_of(st.floats(0.0, 30.0), st.just(math.inf)),
+        tau_prime_over_t1=st.one_of(st.floats(0.0, 30.0), st.just(math.inf)),
+    )
+    def test_enhancement_ratio_equals_run_kinetic_bit_for_bit(
+        self, t1, ratio, gamma_sign, n_p, tau_over_t1, tau_prime_over_t1
+    ):
+        params = SpinSystemParams(t1=t1, ts=t1 * ratio, gamma=gamma_sign * GAMMA_13C)
+        tau, tau_prime = tau_over_t1 * t1, tau_prime_over_t1 * t1
+        res = run_kinetic(n_p, tau, 0.0, params, enhance=True, tau_prime=tau_prime)
+        want = res.zo_final / (epsilon(params) / (2.0 * np.sqrt(2.0)))
+        got = zeeman_enhancement_ratio(n_p, tau, tau_prime, params)
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+    _HOT = {"temperature": 0.0085}  # eps ~ 0.995: the first-order pump leaves the simplex
+
+    @pytest.mark.filterwarnings("ignore:eps = .* outside the high-temperature regime")
+    @pytest.mark.parametrize(
+        "case, message, decay_message",
+        [
+            ({"tau": -1.0}, "tau and tau_ev must be >= 0", None),
+            ({"tau": math.nan}, "tau and tau_ev must be >= 0", None),
+            ({"tau_prime": -1.0}, "tau_prime must be >= 0", "returns"),
+            ({"tau_prime": math.nan}, "tau_prime must be >= 0", "returns"),
+            ({"n_p": -1}, "n_p must be >= 0, got -1", None),
+            (_HOT, "negative population -8.746e-02 beyond tolerance", None),
+            # the last pumped state is on the simplex, rows 3 and 5 are not
+            ({**_HOT, "tau": 100.0}, "negative population -6.144e-02 beyond tolerance", None),
+            ({"tau": math.nan, "tau_prime": math.nan, "n_p": -1},
+             "tau and tau_ev must be >= 0", None),
+            ({**_HOT, "tau_prime": -1.0, "n_p": -1}, "tau_prime must be >= 0",
+             "n_p must be >= 0, got -1"),
+            ({**_HOT, "n_p": -1}, "n_p must be >= 0, got -1", None),
+        ],
+        ids=["tau<0", "tau nan", "tau'<0", "tau' nan", "n_p<0", "off simplex",
+             "row off simplex", "tau before tau' and n_p", "tau' before n_p",
+             "n_p before simplex"],
+    )
+    @pytest.mark.parametrize("entry", ["run_kinetic", "decay_curve", "zeeman_enhancement_ratio"])
+    def test_every_entry_point_names_the_same_first_fault(
+        self, case, message, decay_message, entry
+    ):
+        case = dict(case)
+        n_p, tau, tau_prime = case.pop("n_p", 6), case.pop("tau", 28.0), case.pop("tau_prime", 18.0)
+        params = SpinSystemParams(**case)
+        run = {
+            "run_kinetic": lambda: run_kinetic(n_p, tau, 0.0, params, enhance=True,
+                                               tau_prime=tau_prime),
+            "decay_curve": lambda: decay_curve(n_p, tau, [0.0, 10.0, 20.0], params),
+            "zeeman_enhancement_ratio": lambda: zeeman_enhancement_ratio(n_p, tau, tau_prime,
+                                                                         params),
+        }[entry]
+        if entry == "decay_curve":  # a curve has no tau'
+            message = decay_message or message
+        if message == "returns":
+            run()
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run()
+
     def test_no_enhancement_means_no_zo(self, default_params):
         assert run_kinetic(4, 28.0, 0.0, default_params).zo_final is None
 
@@ -504,8 +577,8 @@ class TestDecayCurve:
 
     def test_one_pump_per_curve(self, default_params, monkeypatch):
         grid = [0.0, 1e-3, 0.5, 28.0, 214.0, 900.0]
-        spy = mock.Mock(wraps=kinetics.run_kinetic)
-        monkeypatch.setattr(kinetics, "run_kinetic", spy)
+        spy = mock.Mock(wraps=kinetics._pump)
+        monkeypatch.setattr(kinetics, "_pump", spy)
         curve = decay_curve(7, 28.0, grid, default_params)
         assert spy.call_count == 1
         for tev, sig in curve:

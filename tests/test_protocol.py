@@ -142,9 +142,11 @@ class TestCycleMatrix:
 class TestPumpLoop:
     @staticmethod
     def _walk(n_p, reset, source):
-        """The pump as a literal step walk: reset, then pi124 and pi142 in turn."""
+        """The pump as a literal step walk: reset, then pi124 and pi142 in turn.
+
+        State 0 is the source broadcast to the batch shape of ``reset``, as in `_pump`."""
         delta = src = source[:, None]
-        out = [delta[..., 0]]
+        out = [np.broadcast_to(source, (*reset.shape[:-2], 4))]
         for k in range(n_p):
             delta = src + reset @ (delta - src)
             delta = (PI142_EXPECTED if k % 2 else PI124_EXPECTED) @ delta
@@ -202,6 +204,47 @@ class TestPumpLoop:
         _pump(301, reset.view(Counted), source)
         # one reset product per step, up to the first state that repeats
         assert len(steps) == (301 if first is None else first)
+
+    @pytest.mark.parametrize(
+        "reset",
+        [RESET0, _relaxation_map(0.13, 0.0047, 0.0, 28.0),
+         _relaxation_map(0.13, 0.0047, 0.0, np.array([0.0, 0.5, 5.0, 28.0, 600.0]))],
+        ids=["ideal", "one map", "stack of 5"],
+    )
+    @pytest.mark.parametrize("n_p", [0, 1, 7, 300])
+    def test_returns_one_new_float64_array(self, reset, n_p):
+        source = 1e-4 * THERMAL_DEVIATION
+        got = _pump(n_p, reset, source)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == (n_p + 1, *reset.shape[:-2], 4)
+        want = got.copy()
+        got[...] = np.nan  # writing into one result leaves the next call unchanged
+        again = _pump(n_p, reset, source)
+        assert again.tobytes() == want.tobytes()
+        assert not np.shares_memory(again, got)
+
+    @pytest.mark.parametrize(
+        "reset",
+        [RESET0, _relaxation_map(0.13, 0.0047, 0.0, 28.0),
+         _relaxation_map(0.13, 0.0047, 0.0, 0.0), _relaxation_map(0.13, 0.0047, 0.0, np.inf)],
+        ids=["ideal", "one map", "identity", "infinite tau"],
+    )
+    def test_two_cycle_fill_equals_literal_step_walk(self, reset):
+        source = 1e-4 * THERMAL_DEVIATION
+        walk = self._walk(100, reset, source)
+        first = next(k for k in range(2, 101) if walk[k].tobytes() == walk[k - 2].tobytes())
+        # no, one or two states past the first repeat, whatever its parity
+        for n_p in (first, first + 1, first + 2, first + 3):
+            self._assert_same_states(_pump(n_p, reset, source), walk[: n_p + 1])
+
+    @pytest.mark.parametrize("taus", [0.0, np.array([28.0]), np.array([0.0, 28.0, np.inf])],
+                             ids=["one map", "stack of 1", "stack of 3"])
+    def test_no_permutation_is_the_source_broadcast_to_the_batch(self, taus):
+        reset = _relaxation_map(0.13, 0.0047, 0.0, taus)
+        source = -3e-5 * THERMAL_DEVIATION
+        got = _pump(0, reset, source)
+        want = np.broadcast_to(source, (1, *np.shape(taus), 4))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(
