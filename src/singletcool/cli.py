@@ -12,8 +12,8 @@ override file values.  Every flag is a config key, spelt with underscores
 or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``).  Default values
 regenerate the reference scenario of the bundled 13C2 spin pair.
 
-In pump and enhance, --mode picks only the resets: kinetic relaxation for tau and
-tau', or the ideal triplet reset, its T1 << tau << TS limit; each runs one path.
+In pump and enhance, --mode picks the library's population engine, ideal or
+kinetic, and each command reads its rows off one checked pump of that engine.
 The pulse-level engine `coherent` is imported on demand, by coherent-check alone.
 """
 
@@ -101,7 +101,7 @@ class RunConfig:
                 # the engines accept +inf, which no CLI grid may hold
                 if not all(math.isfinite(x) for x in grid):
                     raise ConfigError(f"{flag} entries must be finite")
-                kinetics._check_grid(grid, flag)
+                kinetics.check_grid(grid, flag)
             self.spin_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -200,28 +200,17 @@ def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
     return params, epsilon(params)
 
 
-def _engine(config: RunConfig, params: SpinSystemParams, eps: float,
-            *taus: float) -> tuple[list[np.ndarray], float]:
-    """The reset maps of the intervals ``taus`` and the singlet lifetime of --mode.
-
-    The ideal reset is relaxation in the T1 << tau << TS limit: `RESET0`, with no
-    decay during tau_ev.  Only the intervals asked for are mapped.
-    """
-    if config.mode == "ideal":
-        return [protocol.RESET0] * len(taus), math.inf
-    rate = kinetics.calibrate_rates(params.t1, params.ts, eps)
-    # the deviation from thermal relaxes under the eps = 0 generator (first order in eps)
-    return [kinetics._relaxation_map(rate.k_t, rate.k_s, 0.0, tau) for tau in taus], params.ts
+def _engine(config: RunConfig, params: SpinSystemParams, eps: float) -> protocol.PopulationEngine:
+    """The population engine of --mode."""
+    return protocol.ideal_engine(eps) if config.mode == "ideal" else kinetics.kinetic_engine(params)
 
 
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     """One row per permutation count from 0 to np."""
     params, eps = _population_params(config)
-    (reset,), ts = _engine(config, params, eps, config.tau)
+    engine = _engine(config, params, eps)
     # the pump for k permutations is a prefix of the pump for n_p
-    deltas = protocol._pump(config.n_p, reset, eps * protocol.THERMAL_DEVIATION)
-    protocol.check_simplex(deltas)
-    sig = kinetics._detected_signal(kinetics._so_of_deviation(deltas), eps, config.tau_ev, ts)
+    sig = engine.signal(engine.pump(config.n_p, config.tau), config.tau_ev)
     so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
     ideal = config.mode == "ideal"
     lines = ["n_p,so,signal" + (",closed_form_so" if ideal else ""), SIGNAL_NOTE]
@@ -272,12 +261,8 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
 def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
     if config.n_p % 2:
         raise ConfigError("enhance is defined for even permutation counts")
-    params, eps = _population_params(config)
-    (reset, reset_prime), _ = _engine(config, params, eps, config.tau, config.tau_prime)
-    source = eps * protocol.THERMAL_DEVIATION
-    deltas = protocol._pump(config.n_p, reset, source)
-    protocol.check_simplex(deltas)
-    ratio = kinetics._enhanced_zo(deltas[-1], reset_prime, source) / (eps / (2.0 * np.sqrt(2.0)))
+    engine = _engine(config, *_population_params(config))
+    ratio = engine.zeeman_ratio(engine.pump(config.n_p, config.tau)[-1], config.tau_prime)
     return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], EXIT_OK
 
 

@@ -21,17 +21,15 @@ and I - Theta, and a relaxation interval of duration tau is exactly
 Maps are assembled from the parts (I, Theta - P_eq, I - Theta), and the generator
 from (Theta - I, P_eq - I), each cached per eps.  tau -> infinity gives complete
 rethermalization (P_eq).  The ideal triplet reset Theta is the same map with
-(e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its T1 << tau << TS limit, and
-both engines share one pump loop (`protocol._pump`) and one enhancement stage
-(`protocol._enhance`).
+(e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its T1 << tau << TS limit.
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
-pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off the
-one array of deviations that `_pumped` fills: it calibrates the rates (once per
-spin system), pumps and checks every row on the simplex.  The build-up is the SO
-of every row, a decay curve scales the SO of the last row, the enhancement ratio
-enhances the last row, and a tau sweep pumps the stack of its grid's maps.
+pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
+pump of `kinetic_engine`, the `protocol.PopulationEngine` of these maps: the
+build-up is the SO of every row, a decay curve scales the signal of the last row,
+the enhancement ratio enhances the last row, and a tau sweep pumps the stack of
+its grid's maps.
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
@@ -44,26 +42,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    SINGLET_ORDER,
-    ZEEMAN_ORDER,
-    PopulationVector,
-    SpinSystemParams,
-    epsilon,
-)
-from .protocol import (
-    THERMAL_DEVIATION,
-    TransferMatrix,
-    _enhance,
-    _pump,
-    _reset_matrix,
-    check_simplex,
-    signal_from_singlet_order,
-)
+from .core import PopulationVector, SpinSystemParams, epsilon
+from .protocol import PopulationEngine, TransferMatrix, _reset_matrix, _so_of_deviation
 
 _RATE_CHECK_TOL = 1e-9
 _FIT_MAX_STEPS = 200  # Gauss-Newton steps, and halvings of each
@@ -208,19 +192,6 @@ class KineticProtocolResult:
     zo_final: Optional[float] = None
 
 
-def _so_of_deviation(delta: np.ndarray) -> float | np.ndarray:
-    """SO of a deviation, or elementwise the SOs of a (..., 4) stack of them."""
-    d0, d1, d2, d3 = delta[..., 0], delta[..., 1], delta[..., 2], delta[..., 3]
-    so = SINGLET_ORDER.normalization * (d0 - (d1 + d2 + d3) / 3.0)
-    return so if np.ndim(so) else float(so)
-
-
-def _detected_signal(so: float | np.ndarray, eps: float, tau_ev: float,
-                     ts: float) -> float | np.ndarray:
-    """Signal of pumped singlet order `so` (elementwise on an array) after evolving for tau_ev."""
-    return signal_from_singlet_order(so, eps) * math.exp(-tau_ev / ts)
-
-
 def _check_intervals(tau: float, tau_ev: float = 0.0, tau_prime: Optional[float] = None) -> None:
     """Reject a negative or NaN interval; tau and tau_ev are checked before tau_prime."""
     if not (tau >= 0.0 and tau_ev >= 0.0):
@@ -229,25 +200,13 @@ def _check_intervals(tau: float, tau_ev: float = 0.0, tau_prime: Optional[float]
         raise ValueError("tau_prime must be >= 0")
 
 
-def _pumped(n_p: int, tau: float | np.ndarray, params: SpinSystemParams
-            ) -> tuple[float, np.ndarray, np.ndarray, Callable[[float], np.ndarray]]:
-    """eps, the thermal source, the pump of n_p permutations with resets of duration tau (an
-    array pumps their stack), each row checked on the simplex, and the eps = 0 map of any
-    interval, under which the deviation from thermal relaxes (first order in eps)."""
+def kinetic_engine(params: SpinSystemParams) -> PopulationEngine:
+    """The engine of the rates calibrated to ``params``: the deviation from thermal relaxes
+    under the eps = 0 generator (first order in eps), and singlet order decays at 1/TS."""
     eps = epsilon(params)
     rate = calibrate_rates(params.t1, params.ts, eps)
     relax = functools.partial(_relaxation_map, rate.k_t, rate.k_s, 0.0)
-    source = eps * THERMAL_DEVIATION
-    deltas = _pump(n_p, relax(tau), source)
-    check_simplex(deltas)
-    return eps, source, deltas, relax
-
-
-def _enhanced_zo(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> float:
-    """ZO after the enhancement stage of a pumped deviation, its state checked on the simplex."""
-    delta_enh = _enhance(delta, reset, source)
-    check_simplex(delta_enh)
-    return float(np.dot(ZEEMAN_ORDER.eigenvalues, delta_enh))
+    return PopulationEngine(eps, relax, params.ts)
 
 
 def run_kinetic(
@@ -270,14 +229,14 @@ def run_kinetic(
     and the resulting Zeeman order is reported in ``zo_final``.
     """
     _check_intervals(tau, tau_ev, tau_prime)
-    eps, source, deltas, relax = _pumped(n_p, tau, params)
-    trace = tuple(enumerate(_so_of_deviation(deltas).tolist()))
+    engine = kinetic_engine(params)
+    deltas = engine.pump(n_p, tau)
     tp = tau if tau_prime is None else tau_prime
     return KineticProtocolResult(
         populations_after_pump=PopulationVector(0.25 + deltas[-1]),
-        so_trace=trace,
-        signal=_detected_signal(trace[-1][1], eps, tau_ev, params.ts),
-        zo_final=_enhanced_zo(deltas[-1], relax(tp), source) if enhance else None,
+        so_trace=tuple(enumerate(_so_of_deviation(deltas).tolist())),
+        signal=engine.signal(deltas[-1], tau_ev),
+        zo_final=engine.enhance(deltas[-1], tp)[1] if enhance else None,
     )
 
 
@@ -289,9 +248,9 @@ def zeeman_enhancement_ratio(
 ) -> float:
     """ZO after pump + final reset + swap, relative to thermal Zeeman order."""
     _check_intervals(tau, 0.0, tau_prime)
-    eps, source, deltas, relax = _pumped(n_p, tau, params)
-    zo = _enhanced_zo(deltas[-1], relax(tau if tau_prime is None else tau_prime), source)
-    return zo / (eps / (2.0 * np.sqrt(2.0)))
+    engine = kinetic_engine(params)
+    return engine.zeeman_ratio(engine.pump(n_p, tau)[-1],
+                               tau if tau_prime is None else tau_prime)
 
 
 @dataclass(frozen=True)
@@ -303,7 +262,8 @@ class TauSweep:
     signal_star: float
 
 
-def _check_grid(grid: Sequence[float], name: str) -> np.ndarray:
+def check_grid(grid: Sequence[float], name: str) -> np.ndarray:
+    """The grid as a float array; raises unless nonempty, strictly increasing and >= 0."""
     arr = np.asarray(grid, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
@@ -321,9 +281,9 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     its last state, one row per point, in grid order; each equals ``run_kinetic(n_p,
     tau, 0.0, params).signal``.  The optimum is the first point of largest magnitude.
     """
-    grid = _check_grid(tau_grid, "tau_grid")
-    eps, _, deltas, _ = _pumped(n_p, grid, params)
-    sig = signal_from_singlet_order(_so_of_deviation(deltas[-1]), eps)
+    grid = check_grid(tau_grid, "tau_grid")
+    engine = kinetic_engine(params)
+    sig = engine.signal(engine.pump(n_p, grid)[-1])
     points = tuple(zip(grid.tolist(), sig.tolist()))
     best = int(np.argmax(np.abs(sig)))  # the first maximum
     return TauSweep(points=points, tau_star=points[best][0], signal_star=points[best][1])
@@ -336,12 +296,12 @@ def decay_curve(
     params: SpinSystemParams,
 ) -> tuple[tuple[float, float], ...]:
     """Signal versus post-pump evolution interval tau_ev, from one pump."""
-    grid = _check_grid(tau_ev_grid, "tau_ev_grid")
+    grid = check_grid(tau_ev_grid, "tau_ev_grid")
     _check_intervals(tau)
-    eps, _, deltas, _ = _pumped(n_p, tau, params)
-    s0 = signal_from_singlet_order(_so_of_deviation(deltas[-1]), eps)
+    engine = kinetic_engine(params)
+    s0 = engine.signal(engine.pump(n_p, tau)[-1])
     # math.exp, not np.exp, which rounds differently on some inputs
-    return tuple((tev, s0 * math.exp(-tev / params.ts)) for tev in grid.tolist())
+    return tuple((tev, s0 * math.exp(-tev / engine.ts)) for tev in grid.tolist())
 
 
 @dataclass(frozen=True)

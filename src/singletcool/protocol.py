@@ -14,11 +14,11 @@ A pump of n_p permutations is the step sequence
     odd  n_p:  the even sequence for n_p-1, then (Theta, pi_124)
 
 read left to right in chronological order; the enhancement stage is one
-more Theta followed by the 1<->2 swap pi_12.  The ideal and kinetic engines
-share one pump loop (`_pump`) and one enhancement stage (`_enhance`): the
-ideal engine passes Theta, the kinetic one the relaxation map of a finite
-interval.  Applied to thermal equilibrium the singlet order after n_p
-permutations is
+more Theta followed by the 1<->2 swap pi_12.  `PopulationEngine` states this
+map once: it pumps, reads the signal and enhances, every state checked on the
+simplex.  The ideal engine (`ideal_engine`) resets with Theta, the kinetic one
+(`kinetics.kinetic_engine`) with the relaxation map of a finite interval.
+Applied to thermal equilibrium the singlet order after n_p permutations is
 
     SO(n_p) = (-1)^n_p * (eps*sqrt(3)/4) * (1 - 3^-n_p)
 
@@ -39,13 +39,16 @@ matrices, so matrix-level identities hold without truncation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     POPULATION_TOL,
     SINGLET_ORDER,
+    ZEEMAN_ORDER,
     PopulationVector,
     measure_order,
 )
@@ -186,8 +189,7 @@ def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> np.ndarray:
 
     The steps are those of the module docstring.  The pump starts at the thermal
     deviation ``source``; each reset maps delta -> source + reset @ (delta - source),
-    so the thermal state is a fixed point of every reset.  `run_ideal` passes `RESET0`
-    and the kinetic engine the relaxation map of a finite interval, or a stack of maps
+    so the thermal state is a fixed point of every reset.  ``reset`` is one map, or a stack
     of shape (n, 4, 4), which pumps n intervals at once.  Each call fills a new float64
     array of shape (n_p + 1, *reset.shape[:-2], 4), state 0 ``source`` in every batch
     row.  The deviation is carried as a column: a reset is a matrix-vector product, a
@@ -231,9 +233,47 @@ def check_simplex(deltas: np.ndarray) -> None:
             PopulationVector(row)
 
 
-def _enhance(delta: np.ndarray, reset: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """The enhancement stage on a deviation: one more reset, then pi_12."""
-    return (source + reset @ (delta - source)).take(_PERM_ROWS[Permutation.PI12], axis=-1)
+@dataclass(frozen=True)
+class PopulationEngine:
+    """The protocol's population map at polarization eps: pump, signal readout, enhancement.
+
+    ``reset(tau)`` is the map of a reset interval of duration tau, an array of
+    durations giving their stack; ``ts`` is the singlet lifetime, which scales the
+    signal after free evolution.  Every state it returns is checked on the simplex.
+    """
+
+    eps: float
+    reset: Callable[[float | np.ndarray], np.ndarray]
+    ts: float = math.inf
+
+    def pump(self, n_p: int, tau: float | np.ndarray = 0.0) -> np.ndarray:
+        """`_pump` of n_p permutations from thermal, with resets of duration tau."""
+        deltas = _pump(n_p, self.reset(tau), self.eps * THERMAL_DEVIATION)
+        check_simplex(deltas)
+        return deltas
+
+    def signal(self, deltas: np.ndarray, tau_ev: float = 0.0) -> float | np.ndarray:
+        """Signal of pumped deviations (a float for one) after evolving for tau_ev."""
+        so = _so_of_deviation(deltas)
+        return signal_from_singlet_order(so, self.eps) * math.exp(-tau_ev / self.ts)
+
+    def enhance(self, delta: np.ndarray, tau_prime: float = 0.0) -> tuple[np.ndarray, float]:
+        """One more reset of duration tau_prime, then pi_12: the deviation and its ZO."""
+        source = self.eps * THERMAL_DEVIATION
+        delta = source + self.reset(tau_prime) @ (delta - source)
+        delta = delta.take(_PERM_ROWS[Permutation.PI12], axis=-1)
+        check_simplex(delta)
+        return delta, float(np.dot(ZEEMAN_ORDER.eigenvalues, delta))
+
+    def zeeman_ratio(self, delta: np.ndarray, tau_prime: float = 0.0) -> float:
+        """ZO after the enhancement stage, relative to thermal Zeeman order."""
+        return self.enhance(delta, tau_prime)[1] / _zo_eq(self.eps)
+
+
+def ideal_engine(eps: float) -> PopulationEngine:
+    """The ideal engine: every reset is `RESET0`, the relaxation map in its T1 << tau << TS
+    limit, whatever tau, and singlet order does not decay."""
+    return PopulationEngine(eps, lambda tau: RESET0)
 
 
 def run_ideal(n_p: int, eps: float) -> PopulationVector:
@@ -246,7 +286,7 @@ def run_ideal(n_p: int, eps: float) -> PopulationVector:
     """
     if abs(eps) >= 1.0:
         raise ValueError(f"|eps| = {abs(eps)} >= 1")
-    return PopulationVector(0.25 + _pump(n_p, RESET0, eps * THERMAL_DEVIATION)[-1])
+    return PopulationVector(0.25 + ideal_engine(eps).pump(n_p)[-1])
 
 
 def closed_form_so(n_p: int, eps: float) -> float:
@@ -277,7 +317,7 @@ def enhance_zeeman(p_ss: PopulationVector, eps: float) -> PopulationVector:
     the thermal Zeeman order; intended for even-n_p states (not checked).
     First-order semantics, like `run_ideal`.
     """
-    return PopulationVector(0.25 + _enhance(p_ss.p - 0.25, RESET0, eps * THERMAL_DEVIATION))
+    return PopulationVector(0.25 + ideal_engine(eps).enhance(p_ss.p - 0.25)[0])
 
 
 def ideal_signal(n_p: int, eps: float) -> float:
@@ -294,10 +334,21 @@ def ideal_signal(n_p: int, eps: float) -> float:
     return signal_from_singlet_order(so, eps)
 
 
-def signal_from_singlet_order(so: float | np.ndarray, eps: float) -> float | np.ndarray:
-    """Normalized signal sqrt(2/3)*SO/ZO_eq for polarization eps, elementwise on an array of SO."""
+def _zo_eq(eps: float) -> float:
+    """Thermal Zeeman order eps/(2 sqrt 2), the normalization of every signal and ratio."""
     if eps == 0.0:
         raise ValueError("signal normalization undefined at eps = 0")
-    zo_eq = eps / (2.0 * np.sqrt(2.0))
-    sig = np.sqrt(2.0 / 3.0) * so / zo_eq
+    return eps / (2.0 * np.sqrt(2.0))
+
+
+def _so_of_deviation(delta: np.ndarray) -> float | np.ndarray:
+    """SO of a deviation, or elementwise the SOs of a (..., 4) stack of them."""
+    d0, d1, d2, d3 = delta[..., 0], delta[..., 1], delta[..., 2], delta[..., 3]
+    so = SINGLET_ORDER.normalization * (d0 - (d1 + d2 + d3) / 3.0)
+    return so if np.ndim(so) else float(so)
+
+
+def signal_from_singlet_order(so: float | np.ndarray, eps: float) -> float | np.ndarray:
+    """Normalized signal sqrt(2/3)*SO/ZO_eq for polarization eps, elementwise on an array of SO."""
+    sig = np.sqrt(2.0 / 3.0) * so / _zo_eq(eps)
     return sig if np.ndim(sig) else float(sig)

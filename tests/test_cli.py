@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singletcool
-from singletcool import coherent, kinetics, protocol
+from singletcool import coherent, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -130,7 +131,7 @@ class TestPumpCommand:
         for k, row in enumerate(rows):
             # each row equals the deviation readout of its own pump, bit for bit
             delta = protocol._pump(k, protocol.RESET0, source)[-1]
-            sig = singletcool.signal_from_singlet_order(kinetics._so_of_deviation(delta), eps)
+            sig = singletcool.signal_from_singlet_order(protocol._so_of_deviation(delta), eps)
             so = sig * eps * np.sqrt(3.0) / 4.0
             cf = singletcool.closed_form_so(k, eps)
             assert row.split(",") == [str(k), repr(float(so)), repr(sig), repr(float(cf))]
@@ -160,7 +161,16 @@ class TestPumpCommand:
         )
         assert code == EXIT_COMPUTE
         assert lines == []
-        assert capsys.readouterr().err.startswith(f"computation failed: {messages[0]}\n")
+        err = capsys.readouterr().err
+        assert err.startswith(f"computation failed: {messages[0]}\n")
+        assert messages[0] == "negative population -4.403e-03 beyond tolerance"
+        # the library checks every row too, and names the same one
+        for run in (lambda: singletcool.run_ideal(30, eps),
+                    lambda: singletcool.ideal_signal(30, eps),
+                    lambda: singletcool.enhance_zeeman(singletcool.run_ideal(30, eps), eps)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert err.startswith(f"computation failed: {exc.value}\n")
 
     def test_pump_maps_no_tau_prime_interval(self, capsys):
         # k_T * tau overflows float64; expm1(-inf) = -1 keeps the map exact, so no warning
@@ -640,6 +650,21 @@ class TestCoherentCheckStepError:
         fidelities = [ln for ln in proc.stdout.splitlines() if ln.startswith("fidelity_")]
         assert all(float(ln.split(",")[2]) == pytest.approx(0.7081651662, rel=1e-9)
                    for ln in fidelities)
+
+
+class TestEngineBoundary:
+    def test_cli_reads_no_private_name_of_the_engines(self):
+        # the CLI runs on the public engine API of kinetics and protocol alone
+        tree = ast.parse(Path(singletcool.cli.__file__).read_text(encoding="utf-8"))
+        public, private = set(), []
+        engines = ("kinetics", "protocol")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in engines:
+                (private.append if node.attr.startswith("_") else public.add)(node.attr)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in engines:
+                private += [a.name for a in node.names if a.name.startswith("_")]
+        assert {"ideal_engine", "kinetic_engine", "check_grid"} <= public
+        assert private == []
 
 
 class TestImportFootprint:

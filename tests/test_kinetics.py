@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singletcool import kinetics
+from singletcool import kinetics, protocol
 from singletcool import (
     GAMMA_13C,
     SINGLET_ORDER,
@@ -349,8 +349,8 @@ class TestRunKinetic:
                     assert evolved == pytest.approx(base * np.exp(-tau_ev / ts), rel=1e-12)
 
     def test_one_pump_per_enhancement_ratio(self, default_params, monkeypatch):
-        spy = mock.Mock(wraps=kinetics._pump)
-        monkeypatch.setattr(kinetics, "_pump", spy)
+        spy = mock.Mock(wraps=protocol._pump)
+        monkeypatch.setattr(protocol, "_pump", spy)
         ratio = zeeman_enhancement_ratio(6, 28.0, 18.0, default_params)
         assert spy.call_count == 1
         assert ratio == pytest.approx(ENHANCEMENT_REFERENCE, rel=1e-9)
@@ -393,10 +393,11 @@ class TestRunKinetic:
             ({**_HOT, "tau_prime": -1.0, "n_p": -1}, "tau_prime must be >= 0",
              "n_p must be >= 0, got -1"),
             ({**_HOT, "n_p": -1}, "n_p must be >= 0, got -1", None),
+            ({"gamma": 0.0}, "signal normalization undefined at eps = 0", None),
         ],
         ids=["tau<0", "tau nan", "tau'<0", "tau' nan", "n_p<0", "off simplex",
              "row off simplex", "tau before tau' and n_p", "tau' before n_p",
-             "n_p before simplex"],
+             "n_p before simplex", "eps = 0"],
     )
     @pytest.mark.parametrize("entry", ["run_kinetic", "decay_curve", "zeeman_enhancement_ratio"])
     def test_every_entry_point_names_the_same_first_fault(
@@ -530,9 +531,9 @@ class TestSweepTau:
             assert sig == run_kinetic(n_p, tau, 0.0, default_params).signal
 
     def test_one_pump_per_sweep(self, default_params, monkeypatch):
-        pump = mock.Mock(wraps=kinetics._pump)
+        pump = mock.Mock(wraps=protocol._pump)
         run = mock.Mock(wraps=kinetics.run_kinetic)
-        monkeypatch.setattr(kinetics, "_pump", pump)
+        monkeypatch.setattr(protocol, "_pump", pump)
         monkeypatch.setattr(kinetics, "run_kinetic", run)
         sweep = sweep_tau(6, np.linspace(0.0, 240.0, 50), default_params)
         assert len(sweep.points) == 50
@@ -577,8 +578,8 @@ class TestDecayCurve:
 
     def test_one_pump_per_curve(self, default_params, monkeypatch):
         grid = [0.0, 1e-3, 0.5, 28.0, 214.0, 900.0]
-        spy = mock.Mock(wraps=kinetics._pump)
-        monkeypatch.setattr(kinetics, "_pump", spy)
+        spy = mock.Mock(wraps=protocol._pump)
+        monkeypatch.setattr(protocol, "_pump", spy)
         curve = decay_curve(7, 28.0, grid, default_params)
         assert spy.call_count == 1
         for tev, sig in curve:
@@ -646,7 +647,7 @@ class TestArrayReadout:
         deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
         trace = tuple((k, _so_reference(d)) for k, d in enumerate(deltas))
         _same(run_kinetic(n_p, tau, 0.0, params).so_trace, trace)
-        _same(kinetics._so_of_deviation(deltas[-1]), trace[-1][1])
+        _same(protocol._so_of_deviation(deltas[-1]), trace[-1][1])
         so = trace[-1][1]
         _same(signal_from_singlet_order(so, eps), _signal_reference(so, eps, 0.0, params.ts))
 

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import singletcool
 from singletcool import (
     SINGLET_ORDER,
     ZEEMAN_ORDER,
@@ -139,7 +143,31 @@ class TestCycleMatrix:
             assert so == pytest.approx(closed_form_so(2 * k, eps), abs=20 * k * eps**2)
 
 
+def _call_sites(node, scope, names, out):
+    """(callee, enclosing qualified name) of every call of ``names`` below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            f = child.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in names:
+                out.append((name, scope))
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        _call_sites(child, f"{scope}.{child.name}" if named else scope, names, out)
+
+
 class TestPumpLoop:
+    def test_the_engine_alone_pumps_and_checks_rows(self):
+        # every pump of the library and the CLI runs through the one engine
+        sites = []
+        for path in sorted(Path(singletcool.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            _call_sites(tree, path.stem, {"_pump", "check_simplex"}, sites)
+        assert sorted(sites) == [
+            ("_pump", "protocol.PopulationEngine.pump"),
+            ("check_simplex", "protocol.PopulationEngine.enhance"),
+            ("check_simplex", "protocol.PopulationEngine.pump"),
+        ]
+
     @staticmethod
     def _walk(n_p, reset, source):
         """The pump as a literal step walk: reset, then pi124 and pi142 in turn.
