@@ -231,11 +231,12 @@ def run_kinetic(
     _check_intervals(tau, tau_ev, tau_prime)
     engine = kinetic_engine(params)
     deltas = engine.pump(n_p, tau)
+    so = _so_of_deviation(deltas).tolist()
     tp = tau if tau_prime is None else tau_prime
     return KineticProtocolResult(
         populations_after_pump=PopulationVector(0.25 + deltas[-1]),
-        so_trace=tuple(enumerate(_so_of_deviation(deltas).tolist())),
-        signal=engine.signal(deltas[-1], tau_ev),
+        so_trace=tuple(enumerate(so)),
+        signal=engine.signal_of_so(so[-1], tau_ev),
         zo_final=engine.enhance(deltas[-1], tp)[1] if enhance else None,
     )
 

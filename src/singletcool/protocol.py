@@ -254,7 +254,10 @@ class PopulationEngine:
 
     def signal(self, deltas: np.ndarray, tau_ev: float = 0.0) -> float | np.ndarray:
         """Signal of pumped deviations (a float for one) after evolving for tau_ev."""
-        so = _so_of_deviation(deltas)
+        return self.signal_of_so(_so_of_deviation(deltas), tau_ev)
+
+    def signal_of_so(self, so: float | np.ndarray, tau_ev: float = 0.0) -> float | np.ndarray:
+        """Signal of singlet order so (elementwise on an array) after evolving for tau_ev."""
         return signal_from_singlet_order(so, self.eps) * math.exp(-tau_ev / self.ts)
 
     def enhance(self, delta: np.ndarray, tau_prime: float = 0.0) -> tuple[np.ndarray, float]:
@@ -272,7 +275,9 @@ class PopulationEngine:
 
 def ideal_engine(eps: float) -> PopulationEngine:
     """The ideal engine: every reset is `RESET0`, the relaxation map in its T1 << tau << TS
-    limit, whatever tau, and singlet order does not decay."""
+    limit, whatever tau, and singlet order does not decay.  Needs |eps| < 1."""
+    if abs(eps) >= 1.0:
+        raise ValueError(f"|eps| = {abs(eps)} >= 1")
     return PopulationEngine(eps, lambda tau: RESET0)
 
 
@@ -284,8 +289,6 @@ def run_ideal(n_p: int, eps: float) -> PopulationVector:
     reproduces `closed_form_so(n_p, eps)` to machine precision for every
     n_p.
     """
-    if abs(eps) >= 1.0:
-        raise ValueError(f"|eps| = {abs(eps)} >= 1")
     return PopulationVector(0.25 + ideal_engine(eps).pump(n_p)[-1])
 
 
@@ -315,7 +318,7 @@ def enhance_zeeman(p_ss: PopulationVector, eps: float) -> PopulationVector:
     A further triplet reset followed by the 1<->2 population swap.  Fed the
     even-n_p steady state this yields ZO = 3*eps/(4*sqrt(2)), i.e. 3/2 of
     the thermal Zeeman order; intended for even-n_p states (not checked).
-    First-order semantics, like `run_ideal`.
+    First-order semantics, like `run_ideal`, and like it rejects |eps| >= 1.
     """
     return PopulationVector(0.25 + ideal_engine(eps).enhance(p_ss.p - 0.25)[0])
 

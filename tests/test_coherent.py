@@ -34,6 +34,16 @@ APSOC_ENDPOINT_REFERENCE = 402100343.92785239
 COEFF_SUM_REFERENCE = 353570.48262469
 
 
+@pytest.fixture
+def no_horner(monkeypatch):
+    """Make the complex Horner kernel raise, to show which path a call takes."""
+
+    def raiser(*args, **kwargs):
+        raise AssertionError("entered the complex Horner kernel")
+
+    monkeypatch.setattr(coherent, "_taylor_real_form", raiser)
+
+
 class TestSpinOperators:
     def test_commutation_relations(self):
         ops = spin_operators()
@@ -352,6 +362,14 @@ class TestPropagate:
             u = propagate(lambda t: h, (0.0, 0.05), 40)
         np.testing.assert_allclose(u.u, exact, atol=1e-12)
 
+    def test_real_callable_takes_the_real_path(self, default_params, no_horner):
+        # a callable that returns real arrays is exponentiated by cos/sin alone
+        h = free_hamiltonian(default_params, offset_hz=10.0)
+        w, v = np.linalg.eigh(h)
+        exact = (v * np.exp(-1j * w * 0.05)) @ v.conj().T
+        u = propagate(lambda t: h.real, (0.0, 0.05), 40)
+        np.testing.assert_allclose(u.u, exact, atol=1e-12)
+
     def test_rejects_nan_hamiltonian(self):
         with pytest.raises(ValueError, match="non-Hermitian"):
             propagate(lambda t: np.full((4, 4), np.nan), (0.0, 1.0), 4)
@@ -385,6 +403,44 @@ class TestStepExponentials:
         # the result keeps the real form [[Re U, -Im U], [Im U, Re U]]
         np.testing.assert_allclose(real[:, 4:, 4:], real[:, :4, :4], rtol=0, atol=atol)
         np.testing.assert_allclose(real[:, :4, 4:], -real[:, 4:, :4], rtol=0, atol=atol)
+
+    @staticmethod
+    def _real_symmetric_stack(norm, dt):
+        # 32 random real symmetric h with |h dt|_F = norm
+        rng = np.random.default_rng(int(norm * 1e3) + 17)
+        x = rng.standard_normal((32, 4, 4))
+        h = x + x.swapaxes(-1, -2)
+        h *= (norm / abs(dt) / np.linalg.norm(h, axis=(-2, -1)))[:, None, None]
+        return h
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-2, 0.5, 3.0, 1e3])
+    def test_real_stack_matches_scipy_expm(self, norm):
+        # the cos/sin path against an independent Pade expm, from the
+        # degree-1 polynomial (norms 0 and 1e-8) through the squaring branch
+        # (norms above 1/sqrt(2))
+        expm = pytest.importorskip("scipy.linalg").expm
+        dt = -0.25  # a negative step runs the evolution backwards
+        h = self._real_symmetric_stack(norm, dt)
+        theta = math.sqrt(2.0) * norm
+        if norm <= 1e-8:
+            assert coherent._taylor_degree(theta) == 1
+        real = coherent._step_exponentials(h, dt, np.linalg.norm(h, axis=(-2, -1)))
+        expected = np.array([expm(-1j * hk * dt) for hk in h])
+        atol = 1e-13 * max(1.0, norm)
+        np.testing.assert_allclose(real[:, :4, :4] + 1j * real[:, 4:, :4], expected, rtol=0, atol=atol)
+        # the result keeps the real form [[Re U, -Im U], [Im U, Re U]]
+        np.testing.assert_allclose(real[:, 4:, 4:], real[:, :4, :4], rtol=0, atol=atol)
+        np.testing.assert_allclose(real[:, :4, 4:], -real[:, 4:, :4], rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-2, 0.5, 3.0, 1e3])
+    def test_real_path_agrees_with_the_horner_kernel(self, norm):
+        # the same Taylor polynomial and squaring, summed two ways
+        dt = -0.25
+        h = self._real_symmetric_stack(norm, dt)
+        norms = np.linalg.norm(h, axis=(-2, -1))
+        real = coherent._step_exponentials(h, dt, norms)
+        general = coherent._step_exponentials(h.astype(complex), dt, norms)
+        np.testing.assert_allclose(real, general, rtol=0, atol=1e-14 * max(1.0, norm))
 
     @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.02, 0.05, 0.5, 1.0])
     def test_degree_bounds_the_taylor_remainder(self, theta):
@@ -534,6 +590,10 @@ class TestSimulatePermutation:
         for k in range(n_steps):
             w, v = np.linalg.eigh(h0 + apsoc_waveform(shape, (k + 0.5) * dt) * axis)
             u = (v * np.exp(-1j * w * dt)) @ v.conj().T @ u
+        # the transfer matrix cannot see a phase on the ket side, so the
+        # z-rotation fold is checked on the pulse propagator itself
+        folded = coherent._shaped_pulse_propagator(shape, default_params, n_steps, +1)
+        np.testing.assert_allclose(folded.u, u, rtol=0, atol=1e-12)
         v = spin_operators().product_to_st
         u_total = composite_pulse_propagator(sign=+1).u @ u
         expected = np.abs(v.conj().T @ u_total @ v) ** 2
@@ -541,6 +601,18 @@ class TestSimulatePermutation:
         np.testing.assert_allclose(tm.m, expected, rtol=0, atol=1e-12)
         target = permutation_matrix(kind).m
         assert fid == pytest.approx(np.trace(target.T @ expected) / 4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_never_enters_the_complex_kernel(self, default_params, no_horner, phase):
+        # the pulse Hamiltonians are real at phase 0, and a nonzero phase is
+        # folded into a z-rotation, so no step takes the 8x8 Horner path
+        shape = PulseShape.default(offset_hz=-35.0, phase=phase)
+        tm, _ = simulate_permutation(Permutation.PI124, default_params, shape=shape, n_steps=300)
+        np.testing.assert_allclose(tm.m.sum(axis=0), np.ones(4), atol=1e-9)
+        # the guard does catch a complex stack
+        h = free_hamiltonian(default_params, offset_hz=10.0)
+        with pytest.raises(AssertionError, match="Horner"):
+            propagate(lambda t: h, (0.0, 0.05), 4)
 
     def test_canonical_carrier_offsets(self):
         assert CARRIER_OFFSETS[Permutation.PI124] == -35.0

@@ -288,6 +288,17 @@ class TestRunKinetic:
         res = run_kinetic(6, 28.0, 0.0, default_params)
         assert res.signal == pytest.approx(SIGNAL_REFERENCE, rel=1e-9)
 
+    @pytest.mark.parametrize("n_p, tau, tau_ev", [(0, 5.0, 0.0), (7, 28.0, 40.0), (40, 3.0, 300.0)])
+    def test_signal_is_read_off_the_so_trace(self, default_params, n_p, tau, tau_ev):
+        # the readout takes the last SO of the trace, bit for bit the value the
+        # engine reads off the last pumped row
+        res = run_kinetic(n_p, tau, tau_ev, default_params)
+        eps = epsilon(default_params)
+        decay = math.exp(-tau_ev / default_params.ts)
+        assert res.signal == signal_from_singlet_order(res.so_trace[-1][1], eps) * decay
+        engine = kinetics.kinetic_engine(default_params)
+        _same(res.signal, engine.signal(engine.pump(n_p, tau)[-1], tau_ev))
+
     def test_plateau_band(self, default_params):
         for n in range(6, 13):
             res = run_kinetic(n, 28.0, 0.0, default_params)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from singletcool import (
     zeeman_enhancement_ratio,
 )
 from singletcool.kinetics import _relaxation_map
-from singletcool.protocol import RESET0, THERMAL_DEVIATION, _pump, check_simplex
+from singletcool.protocol import RESET0, THERMAL_DEVIATION, _pump, check_simplex, ideal_engine
 
 from conftest import random_populations
 
@@ -447,6 +448,17 @@ class TestEnhanceZeeman:
             want = 0.25 + PI12_EXPECTED @ (RESET0 @ (p - 0.25) + eps * THERMAL_DEVIATION)
             got = enhance_zeeman(PopulationVector(p), eps).p
             assert np.all(np.abs(got - want) <= np.spacing(0.25))
+
+    @pytest.mark.parametrize("eps", [1.5, -1.0, 1.0])
+    def test_rejects_eps_outside_the_unit_interval_by_name(self, eps):
+        # the ideal engine checks |eps| < 1, so every ideal entry point names it
+        message = re.escape(f"|eps| = {abs(eps)} >= 1")
+        with pytest.raises(ValueError, match=message):
+            enhance_zeeman(thermal_populations(0.5), eps)
+        with pytest.raises(ValueError, match=message):
+            run_ideal(2, eps)
+        with pytest.raises(ValueError, match=message):
+            ideal_engine(eps)
 
 
 class TestTransferMatrix:
