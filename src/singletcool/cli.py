@@ -3,8 +3,9 @@
 Every command writes deterministic CSV (first line a column header,
 comment lines start with '#', floats at full double precision) to the
 path given by --out, or stdout.  Exit codes: 0 success, 1 invalid
-config, 2 computation/fit failure, 3 I/O failure.  An error goes to stderr
-as one line, followed by the run's warnings as ``warning: ...`` lines.
+config, 2 computation/fit failure (a run too large to allocate included),
+3 I/O failure.  An error goes to stderr as one line, followed by the run's
+warnings as ``warning: ...`` lines.
 
 Configuration is read from flags, or from a plain-text file of
 ``key = value`` lines given with --config ('#' comments allowed); flags
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kinetics, protocol
-from .core import GAMMA_13C, SpinSystemParams, epsilon
+from .core import SpinSystemParams, epsilon
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,13 +69,14 @@ class RunConfig:
     tau: float = _key(28.0, float, "reset interval, s")
     tau_ev: float = _key(0.0, float, "post-pump evolution interval, s")
     tau_prime: float = _key(18.0, float, "final reset of the magnetization protocol, s")
-    j: float = _key(54.141, float, "scalar coupling, Hz")
-    delta_ppm: float = _key(0.057, float, "chemical-shift difference, ppm")
-    b0: float = _key(16.45, float, "static field, T")
-    gamma: float = _key(GAMMA_13C, float, "magnetogyric ratio, rad/s/T")
-    temperature: float = _key(298.0, float, "temperature, K")
-    t1: float = _key(7.36, float, "Zeeman relaxation time, s")
-    ts: float = _key(214.0, float, "singlet decay time, s")
+    j: float = _key(SpinSystemParams.j_coupling, float, "scalar coupling, Hz")
+    delta_ppm: float = _key(SpinSystemParams.delta_shift, float, "chemical-shift difference, ppm")
+    b0: float = _key(SpinSystemParams.b0, float, "static field, T")
+    gamma: float = _key(SpinSystemParams.gamma, float, "magnetogyric ratio, rad/s/T")
+    temperature: float = _key(SpinSystemParams.temperature, float, "temperature, K")
+    t1: float = _key(SpinSystemParams.t1, float, "Zeeman relaxation time, s")
+    ts: float = _key(SpinSystemParams.ts, float, "singlet decay time, s")
+    # coherent.DEFAULT_PULSE_STEPS, a literal as coherent is imported on demand
     n_steps: int = _key(20000, int, "shaped-pulse integration steps")
     out: Optional[str] = _key(None, str, "output CSV path (default stdout)")
     tau_grid: Optional[tuple[float, ...]] = _key(
@@ -349,7 +351,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:  # the engines' domain and self-checks
+    except (ValueError, MemoryError) as exc:  # domain, self-checks, an unallocatable pump
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     try:

@@ -18,10 +18,14 @@ and I - Theta, and a relaxation interval of duration tau is exactly
 
     exp(R*tau) = P_eq + e^{-k_S tau} (Theta - P_eq) + e^{-(k_T+k_S) tau} (I - Theta).
 
-Maps are assembled from the parts (I, Theta - P_eq, I - Theta), and the generator
-from (Theta - I, P_eq - I), each cached per eps.  tau -> infinity gives complete
-rethermalization (P_eq).  The ideal triplet reset Theta is the same map with
-(e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its T1 << tau << TS limit.
+Maps and generator are built from one set of parts (I, Theta - P_eq, I - Theta),
+cached per eps; the generator is the rate of the maps at tau = 0,
+
+    R = -k_S (Theta - P_eq) - (k_T + k_S) (I - Theta).
+
+tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet reset
+Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its
+T1 << tau << TS limit.
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
@@ -58,34 +62,23 @@ class CalibrationError(ValueError):
     """Raised when the calibrated generator fails its self-verification."""
 
 
-def _projectors(eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Theta(eps) and P_eq(eps) (every column the thermal vector) as raw arrays."""
-    p_eq = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
-    return _reset_matrix(eps), np.tile(p_eq.reshape(4, 1), (1, 4))
-
-
-@functools.lru_cache(maxsize=8)
-def _generator_parts(eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rate-independent parts (Theta - I, P_eq - I) at eps, cached and read-only."""
-    parts = np.array(_projectors(eps)) - np.eye(4)
-    parts.flags.writeable = False
-    return tuple(parts)
-
-
-def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
-    """R = k_T(Theta(eps) - I) + k_S(P_eq(eps) - I), from the parts cached per eps."""
-    d_theta, d_eq = _generator_parts(eps)
-    return k_t * d_theta + k_s * d_eq
-
-
 @functools.lru_cache(maxsize=8)
 def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, cached and read-only."""
-    theta, p_eq = _projectors(eps)
+    """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, cached and read-only;
+    every column of P_eq is the thermal vector."""
+    p_eq = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
+    theta, p_eq = _reset_matrix(eps), np.tile(p_eq.reshape(4, 1), (1, 4))
     parts = (np.eye(4), theta - p_eq, np.eye(4) - theta)
     for part in parts:
         part.flags.writeable = False
     return parts
+
+
+def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
+    """R = -k_S(Theta - P_eq) - (k_T + k_S)(I - Theta), the rate of the maps at tau = 0,
+    from the parts cached per eps."""
+    _, d_so, d_t = _map_parts(eps)
+    return -k_s * d_so - (k_t + k_s) * d_t
 
 
 def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:

@@ -240,11 +240,16 @@ class PopulationEngine:
     ``reset(tau)`` is the map of a reset interval of duration tau, an array of
     durations giving their stack; ``ts`` is the singlet lifetime, which scales the
     signal after free evolution.  Every state it returns is checked on the simplex.
+    Rejects |eps| >= 1, for both engines and every population entry point.
     """
 
     eps: float
     reset: Callable[[float | np.ndarray], np.ndarray]
     ts: float = math.inf
+
+    def __post_init__(self) -> None:
+        if abs(self.eps) >= 1.0:
+            raise ValueError(f"|eps| = {abs(self.eps)} >= 1")
 
     def pump(self, n_p: int, tau: float | np.ndarray = 0.0) -> np.ndarray:
         """`_pump` of n_p permutations from thermal, with resets of duration tau."""
@@ -275,9 +280,8 @@ class PopulationEngine:
 
 def ideal_engine(eps: float) -> PopulationEngine:
     """The ideal engine: every reset is `RESET0`, the relaxation map in its T1 << tau << TS
-    limit, whatever tau, and singlet order does not decay.  Needs |eps| < 1."""
-    if abs(eps) >= 1.0:
-        raise ValueError(f"|eps| = {abs(eps)} >= 1")
+    limit, whatever tau, and singlet order does not decay.  `PopulationEngine` rejects
+    |eps| >= 1."""
     return PopulationEngine(eps, lambda tau: RESET0)
 
 

@@ -479,6 +479,11 @@ class TestRunKeyTable:
             args = _build_parser().parse_args(["pump", "--config", str(cfg)])
             assert build_config(args) == from_flag
 
+    def test_defaults_are_the_reference_system(self):
+        # the spin keys are read off SpinSystemParams; n_steps, a literal, is pinned here
+        assert RunConfig().spin_params() == singletcool.SpinSystemParams()
+        assert RunConfig().n_steps == coherent.DEFAULT_PULSE_STEPS
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_exactly_the_run_keys(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -576,6 +581,26 @@ class TestOutputContract:
         captured = capsys.readouterr().out.splitlines()
         assert captured[0] == "n_p,so,signal,closed_form_so"
         assert len(data_rows(captured)) == 3
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pump", "--mode", "ideal"],
+            ["pump", "--mode", "kinetic"],
+            ["enhance"],
+            ["sweep-tau", "--tau-grid", "1,2,3"],
+            ["decay", "--tau-ev-grid", "0,50,100"],
+        ],
+        ids=" ".join,
+    )
+    def test_unallocatable_pump_is_a_computation_failure(self, capsys, args):
+        # 1e16 rows of 32 bytes exceed any address space, so numpy refuses the
+        # array at once, whatever the memory overcommit policy
+        assert main([*args, "--np", str(10**16)]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("computation failed: Unable to allocate")
+        assert captured.err.count("\n") == 1
 
 
 def run_python(*args):

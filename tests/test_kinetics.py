@@ -32,12 +32,18 @@ from singletcool import (
     zeeman_enhancement_ratio,
 )
 from singletcool.kinetics import _relaxation_map
-from singletcool.protocol import THERMAL_DEVIATION, _pump
+from singletcool.protocol import THERMAL_DEVIATION, _pump, _reset_matrix
 
 # engine regression values at the reference parameters
 # (T1 = 7.36 s, TS = 214 s, tau = 28 s, tau' = 18 s, n_p = 6)
 SIGNAL_REFERENCE = 0.9359843666534515
 ENHANCEMENT_REFERENCE = 1.350098140870527
+
+
+def _theta_and_p_eq(eps):
+    """Theta(eps) and P_eq(eps), every column the thermal vector, built uncached."""
+    p_eq = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
+    return _reset_matrix(eps), np.tile(p_eq.reshape(4, 1), (1, 4))
 
 
 class TestCalibrateRates:
@@ -107,19 +113,27 @@ class TestCalibrateRates:
         eps=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9)),
     )
     def test_generator_is_bit_equal_to_the_literal_expression(self, t1, ratio, eps):
+        # the spectral form -k_S (Theta - P_eq) - (k_T + k_S)(I - Theta)
         ts = t1 * ratio
         rate = calibrate_rates(t1, ts, eps)
-        theta, p_eq = kinetics._projectors(eps)
+        theta, p_eq = _theta_and_p_eq(eps)
         eye = np.eye(4)
-        want = rate.k_t * (theta - eye) + rate.k_s * (p_eq - eye)
+        want = -rate.k_s * (theta - p_eq) - (rate.k_t + rate.k_s) * (eye - theta)
         assert rate.r.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("eps", [0.0, 3e-5])
-    def test_cached_generator_parts_are_read_only(self, eps):
-        for part in kinetics._generator_parts(eps):
-            with pytest.raises(ValueError, match="read-only"):
-                part[0, 0] = 2.0
-        assert kinetics._generator_parts(eps) is kinetics._generator_parts(eps)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        t1=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.01, 1e3),
+        eps=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9)),
+    )
+    def test_generator_is_the_rate_of_the_maps_at_zero(self, t1, ratio, eps):
+        # a forward difference of exp(R h) at h = 1e-9/(k_T + k_S): truncation
+        # ~1e-9 and round-off ~1e-7 relative to max|r|
+        rate = calibrate_rates(t1, t1 * ratio, eps)
+        h = 1e-9 / (rate.k_t + rate.k_s)
+        slope = (_relaxation_map(rate.k_t, rate.k_s, eps, h) - np.eye(4)) / h
+        assert np.max(np.abs(slope - rate.r)) <= 1e-6 * np.max(np.abs(rate.r))
 
     @pytest.mark.parametrize("eps", [0.0, 2e-5])
     def test_failed_self_check_raises_every_time(self, monkeypatch, eps):
@@ -231,7 +245,7 @@ class TestCachedMapParts:
 
     @staticmethod
     def _uncached_map(k_t, k_s, eps, tau):
-        theta, p_eq = kinetics._projectors(eps)
+        theta, p_eq = _theta_and_p_eq(eps)
         eye = np.eye(4)
         tau = np.asarray(tau, dtype=float)[..., None, None]
         with np.errstate(over="ignore"):
@@ -522,6 +536,22 @@ class TestSweepTau:
                     lambda: sweep_tau(6, [100.0], params)):
             with pytest.raises(ValueError, match="negative population"):
                 run()
+
+    @pytest.mark.filterwarnings("ignore:eps = .* outside the high-temperature regime")
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda params: run_kinetic(6, 28.0, 0.0, params),
+            lambda params: sweep_tau(6, [0.0, 28.0], params),
+            lambda params: decay_curve(6, 28.0, [0.0, 10.0, 20.0], params),
+            lambda params: zeeman_enhancement_ratio(6, 28.0, 18.0, params),
+        ],
+        ids=["run_kinetic", "sweep_tau", "decay_curve", "zeeman_enhancement_ratio"],
+    )
+    def test_eps_outside_the_unit_interval_rejected_by_name(self, run):
+        # eps ~ 8.45: the engine names the domain before any pump
+        with pytest.raises(ValueError, match=r"^\|eps\| = 8\.45\d* >= 1$"):
+            run(SpinSystemParams(temperature=1e-3))
 
     def test_negative_count_rejected(self, default_params):
         with pytest.raises(ValueError):
