@@ -66,8 +66,9 @@ class CalibrationError(ValueError):
 def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, cached and read-only;
     every column of P_eq is the thermal vector."""
-    p_eq = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
-    theta, p_eq = _reset_matrix(eps), np.tile(p_eq.reshape(4, 1), (1, 4))
+    thermal = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
+    p_eq = np.tile(thermal.reshape(4, 1), (1, 4))
+    theta = _reset_matrix(eps)
     parts = (np.eye(4), theta - p_eq, np.eye(4) - theta)
     for part in parts:
         part.flags.writeable = False
@@ -76,9 +77,12 @@ def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
     """R = -k_S(Theta - P_eq) - (k_T + k_S)(I - Theta), the rate of the maps at tau = 0,
-    from the parts cached per eps."""
+    from the parts cached per eps.  Summed as -k_T(I - Theta) - k_S((Theta - P_eq) +
+    (I - Theta)), which never rounds k_T + k_S: at eps = 0 it is bit-equal to
+    k_T(Theta - I) + k_S(P_eq - I).  Those bits decide the self-check of `calibrate_rates`
+    once TS/T1 passes ~1e7, where its error is round-off."""
     _, d_so, d_t = _map_parts(eps)
-    return -k_s * d_so - (k_t + k_s) * d_t
+    return -k_t * d_t - k_s * (d_so + d_t)
 
 
 def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:

@@ -113,13 +113,26 @@ class TestCalibrateRates:
         eps=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.9, 0.9)),
     )
     def test_generator_is_bit_equal_to_the_literal_expression(self, t1, ratio, eps):
-        # the spectral form -k_S (Theta - P_eq) - (k_T + k_S)(I - Theta)
+        # the spectral form -k_S (Theta - P_eq) - (k_T + k_S)(I - Theta),
+        # summed as -k_T (I - Theta) - k_S ((Theta - P_eq) + (I - Theta))
         ts = t1 * ratio
         rate = calibrate_rates(t1, ts, eps)
         theta, p_eq = _theta_and_p_eq(eps)
         eye = np.eye(4)
-        want = -rate.k_s * (theta - p_eq) - (rate.k_t + rate.k_s) * (eye - theta)
+        want = -rate.k_t * (eye - theta) - rate.k_s * ((theta - p_eq) + (eye - theta))
         assert rate.r.tobytes() == want.tobytes()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(t1=st.floats(1e-3, 1e3), log_ratio=st.floats(0.01, 9.0))
+    def test_eps_zero_generator_is_bit_equal_to_the_defining_form(self, t1, log_ratio):
+        # the self-check's generator: past TS/T1 ~ 1e7 round-off decides its
+        # verdict, so these bits fix which systems calibrate
+        k_s = 1.0 / (t1 * 10.0**log_ratio)
+        k_t = 1.0 / t1 - k_s
+        theta, p_eq = _theta_and_p_eq(0.0)
+        eye = np.eye(4)
+        want = k_t * (theta - eye) + k_s * (p_eq - eye)
+        assert kinetics._generator(k_t, k_s, 0.0).tobytes() == want.tobytes()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(

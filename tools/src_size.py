@@ -4,7 +4,7 @@ Code lines are the lines that hold a token of a statement, counted with
 `tokenize`: comments, blank lines and docstrings (found with `ast`) are left
 out.  Run from the repository root:
 
-    python3 tools/src_size.py [package directory]
+    python3 tools/src_size.py
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - skip)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/singletcool")
+def main() -> int:
+    root = Path("src/singletcool")
     total_physical = total_code = 0
     print(f"{'module':<16}{'physical':>10}{'code':>8}")
     for path in sorted(root.glob("*.py")):
@@ -55,4 +55,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
