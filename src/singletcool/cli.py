@@ -10,7 +10,8 @@ warnings as ``warning: ...`` lines.
 Configuration is read from flags, or from a plain-text file of
 ``key = value`` lines given with --config ('#' comments allowed); flags
 override file values.  Every flag is a config key, spelt with underscores
-or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``).  Default values
+or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``); ``--key -v`` reads
+as ``--key=-v`` for a negative number in any float spelling.  Default values
 regenerate the reference scenario of the bundled 13C2 spin pair.
 
 In pump and enhance, --mode picks the library's population engine, ideal or
@@ -156,6 +157,15 @@ def read_config_file(path: str) -> dict:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise ConfigError(message)
+
+    def _parse_optional(self, arg_string):
+        # a negative number in any float spelling ("-2.7e7", "-inf") is a value,
+        # so that "--key -v" reads as "--key=-v"; argparse alone knows only -1 and -.5
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _build_parser() -> _Parser:

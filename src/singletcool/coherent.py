@@ -31,17 +31,19 @@ which is what the stated peak nutation frequency means physically.  Use
 the waveform for dynamics.
 
 Propagation.  A pulse is a piecewise-constant midpoint product of step
-exponentials, each by matrix products alone (`_step_exponentials`).  A real
+exponentials, each a Taylor polynomial evaluated by one Horner routine
+(`_horner`) in matrix products alone (`_step_exponentials`).  A real
 Hamiltonian is real symmetric, so exp(-iY) = cos Y - i sin Y with Y = H dt,
-and both come from the powers of W = Y Y by real 4x4 products.
-`simulate_permutation` builds every step real: h0 and the x-phase rf term
-are real in the product basis, and an rf phase phi is folded into a
-z-rotation, U(phi) = Rz U(0) Rz^+ with Rz = exp(-i phi (I1z+I2z)), which
-holds because h0 commutes with I1z+I2z.  A complex step goes through a
-Taylor polynomial by Horner in the real 8x8 form [[Re, -Im], [Im, Re]].
-Both kinds of step come out in that 8x8 form, and the steps are multiplied
-in it as a pairwise tree: numpy multiplies a stack of real 8x8 matrices
-about three times faster than the same stack of complex 4x4 ones.
+and cos Y and sin Y / Y are polynomials in W = Y Y, taken by real 4x4
+products.  `simulate_permutation` builds every step real: h0 and the
+x-phase rf term are real in the product basis, and an rf phase phi is
+folded into a z-rotation, U(phi) = Rz U(0) Rz^+ with
+Rz = exp(-i phi (I1z+I2z)), which holds because h0 commutes with I1z+I2z.
+A complex step takes the polynomial of -iY in the real 8x8 form
+[[Re, -Im], [Im, Re]].  Both kinds of step come out in that 8x8 form, and
+the steps are multiplied in it as a pairwise tree: numpy multiplies a stack
+of real 8x8 matrices about three times faster than the same stack of
+complex 4x4 ones.
 """
 
 from __future__ import annotations
@@ -123,11 +125,19 @@ def omega_delta(params: SpinSystemParams) -> float:
 
 
 def free_hamiltonian(params: SpinSystemParams, offset_hz: float = 0.0) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the coupled pair, rad/s, product basis."""
+    """Rotating-frame Hamiltonian of the coupled pair, rad/s, product basis.
+
+    Raises ValueError naming a frequency that is not finite (for example
+    2*pi*J at J = 1e308), which would put nan in the zero entries.
+    """
     ops = spin_operators()
     w_off = 2.0 * np.pi * offset_hz
     w_d = omega_delta(params)
     w_j = 2.0 * np.pi * params.j_coupling
+    for name, w in (("2*pi*offset_hz", w_off), ("omega_delta = gamma*b0*delta_shift*1e-6", w_d),
+                    ("2*pi*J", w_j)):
+        if not math.isfinite(w):
+            raise ValueError(f"non-finite frequency {name} = {w!r} rad/s")
     return (
         w_off * (ops.i1z + ops.i2z)
         + 0.5 * w_d * (ops.i1z - ops.i2z)
@@ -237,20 +247,23 @@ class PulseShape:
         return max(abs(lo), abs(hi))
 
 
-def apsoc_amplitude(shape: PulseShape, t: float) -> float:
+def apsoc_amplitude(shape: PulseShape, t: float | np.ndarray) -> float | np.ndarray:
     """Raw polynomial amplitude max_amplitude * sum_i C_i (t/T)^i, rad/s.
 
     This is the literal coefficient scaling; the tabulated coefficients are
     not unit-normalized, so the value at t = T is several orders of
     magnitude above the physical peak.  Use `apsoc_waveform` for dynamics.
+    ``t`` is a time or an array of times, each in [0, duration]; an array
+    gives elementwise the bits of the scalar calls.
     """
-    if not 0.0 <= t <= shape.duration:
-        raise ValueError(f"t = {t} outside [0, {shape.duration}]")
+    lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)
+    if not (0.0 <= lo and hi <= shape.duration):
+        raise ValueError(f"t = {hi if 0.0 <= lo else lo} outside [0, {shape.duration}]")
     return shape.max_amplitude * shape.profile(t / shape.duration)
 
 
-def apsoc_waveform(shape: PulseShape, t: float) -> float:
-    """Physical nutation frequency at time t: peak-normalized profile, rad/s."""
+def apsoc_waveform(shape: PulseShape, t: float | np.ndarray) -> float | np.ndarray:
+    """Physical nutation frequency at time t (or an array of t): peak-normalized profile, rad/s."""
     return apsoc_amplitude(shape, t) / shape.profile_peak
 
 
@@ -303,68 +316,51 @@ def _step_exponentials(h: np.ndarray, dt: float, h_norms: np.ndarray) -> np.ndar
     of z = -i h dt, whose Frobenius norm is sqrt(2)*|h|_F*|dt|; ``h_norms``
     are the |h|_F.  The Taylor polynomial of the degree `_taylor_degree`
     picks for the largest of these norms stands in for exp(z); norms above 1
-    are first halved s times and the result squared back.  A real stack is
-    real symmetric, so exp(-i h dt) = cos Y - i sin Y with Y = h dt, and the
-    same polynomial takes `_cos_sin_real_form`, by real 4x4 products; a
-    complex stack takes `_taylor_real_form`, by Horner in the 8x8 form.
+    are first halved s times and the result squared back.  Both branches
+    evaluate it with `_horner`.  A real stack is real symmetric, so
+    exp(-i h dt) = cos Y - i sin Y with Y = h dt.  With W = Y Y, the even
+    terms sum to cos Y = sum_k (-1)^k W^k/(2k)! over 2k <= q and the odd ones
+    to sin Y = Y sum_k (-1)^k W^k/(2k+1)! over 2k+1 <= q, by real 4x4
+    products, written as [[cos Y, sin Y], [-sin Y, cos Y]].  A complex stack
+    takes the polynomial of z itself, in the 8x8 form.
     """
     theta = math.sqrt(2.0) * abs(dt) * float(h_norms.max())
     if not math.isfinite(theta):
         raise ValueError(f"non-finite Hamiltonian step norm (theta = {theta!r})")
     s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     q = _taylor_degree(theta / 2.0**s)
-    polynomial = _cos_sin_real_form if np.isrealobj(h) else _taylor_real_form
-    p = polynomial(h, dt / 2.0**s, q)
+    dt /= 2.0**s
+    p = np.empty((len(h), 8, 8))
+    if np.isrealobj(h):
+        y = dt * h
+        w = y @ y
+        cos = _horner(w, [(-1) ** k / math.factorial(2 * k) for k in range(q // 2 + 1)])
+        sin = y @ _horner(w, [(-1) ** k / math.factorial(2 * k + 1) for k in range((q + 1) // 2)])
+        p[:, :4, :4] = p[:, 4:, 4:] = cos
+        p[:, :4, 4:] = sin
+        p[:, 4:, :4] = -sin
+    else:
+        p[:, :4, :4] = p[:, 4:, 4:] = dt * h.imag
+        p[:, :4, 4:] = dt * h.real
+        p[:, 4:, :4] = -p[:, :4, 4:]
+        p = _horner(p, [1.0 / math.factorial(j) for j in range(q + 1)])
     for _ in range(s):
         p = p @ p
     return p
 
 
-def _taylor_real_form(h: np.ndarray, dt: float, q: int) -> np.ndarray:
-    """Degree-q Taylor polynomial of exp(-i h dt), (m, 4, 4) complex h, in real 8x8 form.
+def _horner(x: np.ndarray, coeffs: list[float]) -> np.ndarray:
+    """sum_j coeffs[j] x^j of a real (m, d, d) stack, by Horner.
 
-    z = -i h dt is carried as [[Re z, -Im z], [Im z, Re z]] and the
-    polynomial evaluated by Horner: seven 8x8 products at q = 8.
+    c_0 + x (c_1 + x (... + x c_n)), each coefficient added to the diagonal
+    alone: n - 1 batched products at degree n >= 1, none at degree 0.
     """
-    m = len(h)
-    z = np.empty((m, 8, 8))
-    z[:, :4, :4] = z[:, 4:, 4:] = dt * h.imag
-    z[:, :4, 4:] = dt * h.real
-    z[:, 4:, :4] = -z[:, :4, 4:]
-    # Horner, c_0 + z (c_1 + z (... + z c_q)) with c_j = 1/j!; each c_j is
-    # added to the diagonal alone
-    p = z / math.factorial(q)
-    for j in range(q - 1, -1, -1):
-        p.reshape(m, 64)[:, ::9] += 1.0 / math.factorial(j)
-        if j:
-            p = z @ p
-    return p
-
-
-def _cos_sin_real_form(h: np.ndarray, dt: float, q: int) -> np.ndarray:
-    """Degree-q Taylor polynomial of exp(-i h dt), (m, 4, 4) real h, in real 8x8 form.
-
-    With Y = h dt and W = Y Y, the even terms of the polynomial sum to
-    cos Y = sum_k (-1)^k W^k/(2k)! over 2k <= q, and the odd terms to -i sin Y,
-    sin Y = Y sum_k (-1)^k W^k/(2k+1)! over 2k+1 <= q.  Both sums add the
-    smallest term first.  The real form is [[cos Y, sin Y], [-sin Y, cos Y]]:
-    five 4x4 products at q = 8, where Horner in 8x8 form takes seven 8x8 ones.
-    """
-    y = dt * h
-    w_powers = [np.eye(4), y @ y]  # W^k for k = 0 .. q // 2, and W at q = 1
-    for k in range(2, q // 2 + 1):
-        w_powers.append(w_powers[k // 2] @ w_powers[k - k // 2])
-
-    def series(top: int, shift: int) -> np.ndarray:
-        return sum(
-            (-1) ** k / math.factorial(2 * k + shift) * w_powers[k] for k in range(top, -1, -1)
-        )
-
-    sin = y @ series((q - 1) // 2, 1)
-    p = np.empty((len(h), 8, 8))
-    p[:, :4, :4] = p[:, 4:, 4:] = series(q // 2, 0)
-    p[:, :4, 4:] = sin
-    p[:, 4:, :4] = -sin
+    m, d, _ = x.shape
+    p = coeffs[-1] * x if len(coeffs) > 1 else np.zeros_like(x)
+    for c in coeffs[-2:0:-1]:
+        p.reshape(m, d * d)[:, :: d + 1] += c
+        p = x @ p
+    p.reshape(m, d * d)[:, :: d + 1] += coeffs[0]
     return p
 
 
@@ -408,9 +404,9 @@ def propagate(
     block's Hamiltonians are checked for Hermiticity, exponentiated together
     by a Taylor polynomial (`_step_exponentials`, matrix products only) and
     multiplied as a pairwise tree in real 8x8 form, so memory stays bounded
-    whatever ``n_steps`` is.  A callable that returns real arrays takes the
-    cos/sin path of real 4x4 products; complex ones, even with a zero
-    imaginary part, the Horner path in 8x8 form.  The result differs from a
+    whatever ``n_steps`` is.  A callable that returns real arrays is
+    exponentiated as cos/sin by real 4x4 products, a complex one (even with
+    a zero imaginary part) in the real 8x8 form.  The result differs from a
     step-by-step product of exact exponentials only by round-off.
     """
 
@@ -471,7 +467,7 @@ def _shaped_pulse_propagator(
     shape: PulseShape, params: SpinSystemParams, n_steps: int, frame_sign: int
 ) -> Propagator:
     """The shaped pulse alone, by midpoint propagation of real steps and a z-rotation."""
-    peak = shape.profile_peak  # rejects an overflowing profile before any step
+    shape.profile_peak  # rejects an overflowing profile before any step, with no warning
     # carrier displaced by +x Hz puts the spins at -x Hz in its frame
     spin_offset_hz = -frame_sign * shape.offset_hz
     ops = spin_operators()
@@ -481,9 +477,7 @@ def _shaped_pulse_propagator(
     rf_x = (ops.i1x + ops.i2x).real
 
     def hamiltonians_at(times: np.ndarray) -> np.ndarray:
-        # the array form of h0 + apsoc_waveform(shape, t) * rf_x, bit for bit
-        amp = shape.max_amplitude * shape.profile(times / shape.duration) / peak
-        return h0 + amp[:, None, None] * rf_x
+        return h0 + apsoc_waveform(shape, times)[:, None, None] * rf_x
 
     u_x = _midpoint_propagator(hamiltonians_at, (0.0, shape.duration), n_steps).u
     # h0 commutes with Iz = I1z + I2z, so the pulse at phase phi is the x-phase

@@ -377,8 +377,35 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["pump", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    def test_negative_duration_rejected(self):
-        assert main(["pump", "--tau", "-3"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("value", ["-3", "-inf", "-3e0", "-.5E+1"])
+    def test_negative_duration_rejected(self, capsys, value):
+        assert main(["pump", "--tau", value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: tau must be finite and >= 0\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["enhance", "--gamma", "-2.7126e7"],
+            ["enhance", "--j", "-5.41e1"],
+            ["pump", "--delta-ppm", "-5.7E-2"],
+            ["pump", "--mode", "ideal", "--b0", "-1.645e1"],
+            ["enhance", "--tau-prime", "-1.8e1"],
+            ["pump", "--temperature", "-2.98e2"],
+            ["sweep-tau", "--tau-grid", "-1e1"],
+            ["pump", "--np", "-6e0"],
+            ["coherent-check", "--n-steps", "-1e3"],
+        ],
+        ids=" ".join,
+    )
+    def test_negative_value_after_a_space_reads_as_after_equals(self, capsys, args):
+        # argparse alone takes "-2.7126e7" for an unknown flag ("expected one argument")
+        *head, flag, value = args
+        runs = []
+        for tail in ([flag, value], [f"{flag}={value}"]):
+            code = main([*head, *tail])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert "expected one argument" not in runs[0][2]
 
     @pytest.mark.parametrize(
         "args",
@@ -651,6 +678,21 @@ class TestProcessStderr:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("config error:")
         assert "warning" not in proc.stderr.lower()
+
+
+class TestOverflowingSpinFrequency:
+    @pytest.mark.parametrize("flag", ["--j", "--delta-ppm", "--b0"])
+    def test_named_before_any_step(self, capsys, monkeypatch, flag):
+        # an infinite frequency is rejected by name, with no numpy warning after it
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was exponentiated")
+
+        monkeypatch.setattr(coherent, "_step_exponentials", no_step)
+        assert main(["coherent-check", flag, "1e308", "--n-steps", "10"]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("computation failed: non-finite frequency ")
 
 
 class TestCoherentCheckStepError:

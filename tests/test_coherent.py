@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,13 +36,22 @@ COEFF_SUM_REFERENCE = 353570.48262469
 
 
 @pytest.fixture
-def no_horner(monkeypatch):
-    """Make the complex Horner kernel raise, to show which path a call takes."""
+def horner_4x4_only(monkeypatch):
+    """Make `_horner` raise on any stack but 4x4; returns the shapes it ran on.
 
-    def raiser(*args, **kwargs):
-        raise AssertionError("entered the complex Horner kernel")
+    A real step runs it on 4x4 stacks only (cos/sin from W = Y Y), a complex
+    step on the 8x8 real form, so this shows which path a call takes.
+    """
+    horner, shapes = coherent._horner, []
 
-    monkeypatch.setattr(coherent, "_taylor_real_form", raiser)
+    def checked(x, coeffs):
+        shapes.append(x.shape[1:])
+        if x.shape[1:] != (4, 4):
+            raise AssertionError(f"_horner ran on a {x.shape[1]}x{x.shape[2]} stack")
+        return horner(x, coeffs)
+
+    monkeypatch.setattr(coherent, "_horner", checked)
+    return shapes
 
 
 class TestSpinOperators:
@@ -95,6 +105,23 @@ class TestFreeHamiltonian:
         singlet = v[:, 0]
         projector = np.outer(singlet, singlet.conj())
         np.testing.assert_allclose(h @ projector, projector @ h, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, offset_hz, name",
+        [
+            (SpinSystemParams(j_coupling=1e308), 0.0, "2*pi*J"),
+            (SpinSystemParams(delta_shift=1e308), 0.0, "omega_delta"),
+            (SpinSystemParams(b0=1e308), 0.0, "omega_delta"),
+            (SpinSystemParams(), -1e308, "2*pi*offset_hz"),
+        ],
+    )
+    def test_rejects_a_non_finite_frequency_by_name(self, params, offset_hz, name):
+        # an infinite frequency times the zero entries of the operators is nan;
+        # it is rejected before that, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"non-finite frequency {name}")):
+                free_hamiltonian(params, offset_hz)
 
     def test_shift_difference_at_stated_field(self):
         params = SpinSystemParams(b0=16.40)
@@ -266,6 +293,20 @@ class TestApsocAmplitude:
             # 1e-6 of the profile scale anywhere (cancellation region)
             assert abs(got - exact) <= 1e-6 * max(abs(exact), 1e-3 * peak)
 
+    def test_array_of_times_gives_the_scalar_bits(self):
+        shape = PulseShape.default()
+        times = np.linspace(0.0, shape.duration, 1001)
+        for f in (apsoc_amplitude, apsoc_waveform):
+            scalar = np.array([f(shape, t) for t in times.tolist()])
+            np.testing.assert_array_equal(f(shape, times), scalar)
+
+    @pytest.mark.parametrize("bad", [-1e-3, 0.36 + 1e-3, float("nan")])
+    def test_array_out_of_range(self, bad):
+        shape = PulseShape.default()
+        times = np.array([0.0, 0.1, bad, 0.2])
+        with pytest.raises(ValueError, match=r"t = .* outside \[0, 0.36\]"):
+            apsoc_waveform(shape, times)
+
     def test_waveform_peaks_at_max_amplitude(self):
         shape = PulseShape.default()
         values = [apsoc_waveform(shape, t) for t in np.linspace(0, shape.duration, 2001)]
@@ -362,13 +403,14 @@ class TestPropagate:
             u = propagate(lambda t: h, (0.0, 0.05), 40)
         np.testing.assert_allclose(u.u, exact, atol=1e-12)
 
-    def test_real_callable_takes_the_real_path(self, default_params, no_horner):
+    def test_real_callable_takes_the_real_path(self, default_params, horner_4x4_only):
         # a callable that returns real arrays is exponentiated by cos/sin alone
         h = free_hamiltonian(default_params, offset_hz=10.0)
         w, v = np.linalg.eigh(h)
         exact = (v * np.exp(-1j * w * 0.05)) @ v.conj().T
         u = propagate(lambda t: h.real, (0.0, 0.05), 40)
         np.testing.assert_allclose(u.u, exact, atol=1e-12)
+        assert horner_4x4_only
 
     def test_rejects_nan_hamiltonian(self):
         with pytest.raises(ValueError, match="non-Hermitian"):
@@ -433,14 +475,29 @@ class TestStepExponentials:
         np.testing.assert_allclose(real[:, :4, 4:], -real[:, 4:, :4], rtol=0, atol=atol)
 
     @pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-2, 0.5, 3.0, 1e3])
-    def test_real_path_agrees_with_the_horner_kernel(self, norm):
-        # the same Taylor polynomial and squaring, summed two ways
+    def test_real_and_complex_dtype_agree(self, norm):
+        # the same Taylor polynomial and squaring, as cos/sin of the real
+        # stack and in the 8x8 form of the same stack cast to complex
         dt = -0.25
         h = self._real_symmetric_stack(norm, dt)
         norms = np.linalg.norm(h, axis=(-2, -1))
         real = coherent._step_exponentials(h, dt, norms)
         general = coherent._step_exponentials(h.astype(complex), dt, norms)
         np.testing.assert_allclose(real, general, rtol=0, atol=1e-14 * max(1.0, norm))
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("n_coeffs", [1, 2, 3, 9])
+    def test_horner_matches_the_power_sum(self, d, n_coeffs):
+        # sum_j c_j x^j term by term; one coefficient is degree 0, which the
+        # cos and sin polynomials reach at q = 1
+        rng = np.random.default_rng(100 * d + n_coeffs)
+        x = rng.standard_normal((16, d, d)) / d
+        coeffs = list(rng.standard_normal(n_coeffs))
+        expected = sum(c * np.linalg.matrix_power(x, j) for j, c in enumerate(coeffs))
+        got = coherent._horner(x, coeffs)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+        if n_coeffs == 1:
+            np.testing.assert_array_equal(got, np.broadcast_to(coeffs[0] * np.eye(d), x.shape))
 
     @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.02, 0.05, 0.5, 1.0])
     def test_degree_bounds_the_taylor_remainder(self, theta):
@@ -577,6 +634,38 @@ class TestSimulatePermutation:
         target = permutation_matrix(kind).m
         assert fid == pytest.approx(np.trace(target.T @ expected) / 4.0, abs=1e-12)
 
+    def test_pulse_stack_is_the_scalar_waveform_bit_for_bit(self, default_params, monkeypatch):
+        # the shaped pulse evaluates apsoc_waveform on each block of midpoint
+        # times; every step Hamiltonian equals the one built from a scalar call
+        shape = PulseShape.default(offset_hz=CARRIER_OFFSETS[Permutation.PI142])
+        ops = spin_operators()
+        h0 = free_hamiltonian(default_params, offset_hz=-shape.offset_hz).real
+        rf_x = (ops.i1x + ops.i2x).real
+        stacks, step = [], coherent._step_exponentials
+
+        def recorded(h, dt, norms):
+            stacks.append(h)
+            return step(h, dt, norms)
+
+        monkeypatch.setattr(coherent, "_step_exponentials", recorded)
+        n_steps = coherent._BLOCK_STEPS + 7
+        simulate_permutation(Permutation.PI142, default_params, shape=shape, n_steps=n_steps)
+        dt = shape.duration / n_steps
+        expected = [h0 + apsoc_waveform(shape, (k + 0.5) * dt) * rf_x for k in range(n_steps)]
+        assert [len(h) for h in stacks] == [coherent._BLOCK_STEPS, 7]
+        assert np.concatenate(stacks).tobytes() == np.array(expected).tobytes()
+
+    def test_non_finite_frequency_is_rejected_before_any_step(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was exponentiated")
+
+        monkeypatch.setattr(coherent, "_step_exponentials", no_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("non-finite frequency 2*pi*J")):
+                simulate_permutation(Permutation.PI124, SpinSystemParams(j_coupling=1e308),
+                                     n_steps=10)
+
     def test_complex_hamiltonian_against_step_by_step_eigh(self, default_params):
         # an rf phase off the x axis makes every step Hamiltonian complex
         kind = Permutation.PI124
@@ -603,15 +692,16 @@ class TestSimulatePermutation:
         assert fid == pytest.approx(np.trace(target.T @ expected) / 4.0, abs=1e-12)
 
     @pytest.mark.parametrize("phase", [0.0, 0.7])
-    def test_never_enters_the_complex_kernel(self, default_params, no_horner, phase):
+    def test_runs_horner_on_4x4_stacks_only(self, default_params, horner_4x4_only, phase):
         # the pulse Hamiltonians are real at phase 0, and a nonzero phase is
-        # folded into a z-rotation, so no step takes the 8x8 Horner path
+        # folded into a z-rotation, so every step takes the cos/sin path
         shape = PulseShape.default(offset_hz=-35.0, phase=phase)
         tm, _ = simulate_permutation(Permutation.PI124, default_params, shape=shape, n_steps=300)
         np.testing.assert_allclose(tm.m.sum(axis=0), np.ones(4), atol=1e-9)
-        # the guard does catch a complex stack
+        assert horner_4x4_only and set(horner_4x4_only) == {(4, 4)}
+        # the guard does catch the 8x8 stack of a complex step
         h = free_hamiltonian(default_params, offset_hz=10.0)
-        with pytest.raises(AssertionError, match="Horner"):
+        with pytest.raises(AssertionError, match="8x8"):
             propagate(lambda t: h, (0.0, 0.05), 4)
 
     def test_canonical_carrier_offsets(self):
