@@ -58,6 +58,10 @@ def _key(default, parse, help: str):
     return field(default=default, metadata={"parse": parse, "help": help})
 
 
+#: The spin keys' defaults: the reference system of `SpinSystemParams`.
+_SPIN = SpinSystemParams._field_defaults
+
+
 @dataclass
 class RunConfig:
     """Merged run configuration (defaults < config file < flags).
@@ -70,13 +74,13 @@ class RunConfig:
     tau: float = _key(28.0, float, "reset interval, s")
     tau_ev: float = _key(0.0, float, "post-pump evolution interval, s")
     tau_prime: float = _key(18.0, float, "final reset of the magnetization protocol, s")
-    j: float = _key(SpinSystemParams.j_coupling, float, "scalar coupling, Hz")
-    delta_ppm: float = _key(SpinSystemParams.delta_shift, float, "chemical-shift difference, ppm")
-    b0: float = _key(SpinSystemParams.b0, float, "static field, T")
-    gamma: float = _key(SpinSystemParams.gamma, float, "magnetogyric ratio, rad/s/T")
-    temperature: float = _key(SpinSystemParams.temperature, float, "temperature, K")
-    t1: float = _key(SpinSystemParams.t1, float, "Zeeman relaxation time, s")
-    ts: float = _key(SpinSystemParams.ts, float, "singlet decay time, s")
+    j: float = _key(_SPIN["j_coupling"], float, "scalar coupling, Hz")
+    delta_ppm: float = _key(_SPIN["delta_shift"], float, "chemical-shift difference, ppm")
+    b0: float = _key(_SPIN["b0"], float, "static field, T")
+    gamma: float = _key(_SPIN["gamma"], float, "magnetogyric ratio, rad/s/T")
+    temperature: float = _key(_SPIN["temperature"], float, "temperature, K")
+    t1: float = _key(_SPIN["t1"], float, "Zeeman relaxation time, s")
+    ts: float = _key(_SPIN["ts"], float, "singlet decay time, s")
     # coherent.DEFAULT_PULSE_STEPS, a literal as coherent is imported on demand
     n_steps: int = _key(20000, int, "shaped-pulse integration steps")
     out: Optional[str] = _key(None, str, "output CSV path (default stdout)")
@@ -201,7 +205,8 @@ def _fmt(x) -> str:
 
 
 def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
-    """Spin parameters and eps for the population engines, which need 0 < |eps| < 1."""
+    """Spin parameters and eps for the population engines, which need 0 < |eps| < 1 and
+    no |eps| below `protocol.MIN_EPS`."""
     params = config.spin_params()
     with warnings.catch_warnings():
         # an eps out of range is a config error, not a high-temperature warning
@@ -209,6 +214,8 @@ def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
         eps = epsilon(params)
     if not 0.0 < abs(eps) < 1.0:
         raise ConfigError(f"eps = {eps!r} must satisfy 0 < |eps| < 1 (gamma, b0, temperature)")
+    if abs(eps) < protocol.MIN_EPS:
+        raise ConfigError(f"|eps| = {abs(eps)!r} is below 2**-1018 (gamma, b0, temperature)")
     return params, epsilon(params)
 
 

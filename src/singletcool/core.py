@@ -22,6 +22,13 @@ Two scalar observables of the population vector are used throughout:
 
     Zeeman order   ZO = (p2 - p4)/sqrt(2)            (longitudinal magnetization)
     singlet order  SO = (sqrt(3)/2)(p1 - (p2+p3+p4)/3)
+
+The value types of this package (`SpinSystemParams`, `PopulationVector` and
+`OrderObservable` here, and those of `protocol` and `kinetics`) are immutable
+``typing.NamedTuple``s.  Derive a changed copy with ``_replace``, not
+``dataclasses.replace``; ``_replace`` and ``_make`` run the constructor's checks.
+Array fields are read-only copies.  Like any tuple, a value type compares equal
+to the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +54,28 @@ GAMMA_13C = 6.728284e7
 POPULATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpinSystemParams:
+class _Checked:
+    """Base of a NamedTuple subclass whose ``__new__`` checks or copies the fields:
+    `_make`, and with it `_replace`, go through that constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SpinSystemFields(NamedTuple):
+    j_coupling: float = 54.141
+    delta_shift: float = 0.057
+    b0: float = 16.45
+    gamma: float = GAMMA_13C
+    temperature: float = 298.0
+    t1: float = 7.36
+    ts: float = 214.0
+
+
+class SpinSystemParams(_Checked, _SpinSystemFields):
     """Physical constants of one spin-1/2 pair and its relaxation times.
 
     Attributes:
@@ -67,18 +94,13 @@ class SpinSystemParams:
     T1 = 7.36 s, TS = 214 s).
     """
 
-    j_coupling: float = 54.141
-    delta_shift: float = 0.057
-    b0: float = 16.45
-    gamma: float = GAMMA_13C
-    temperature: float = 298.0
-    t1: float = 7.36
-    ts: float = 214.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.j_coupling == 0.0:
             raise ValueError("j_coupling must be nonzero")
         if self.b0 <= 0.0:
@@ -92,21 +114,26 @@ class SpinSystemParams:
                 f"ts = {self.ts} must exceed t1 = {self.t1}; the triplet reset "
                 "requires a relaxation-time separation"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class PopulationVector:
+class _PopulationFields(NamedTuple):
+    p: np.ndarray
+
+
+class PopulationVector(_Checked, _PopulationFields):
     """Four nonnegative state populations summing to one.
 
     The entry order is the package-wide state indexing (singlet, |aa>,
     central triplet, |bb>).  Entries within ``POPULATION_TOL`` below zero
-    are clamped to exactly zero; larger violations raise.
+    are clamped to exactly zero; larger violations raise.  ``p`` is a
+    read-only copy.
     """
 
-    p: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.p, dtype=float, copy=True)
+    def __new__(cls, p):
+        arr = np.array(p, dtype=float, copy=True)
         if arr.shape != (4,):
             raise ValueError(f"population vector needs exactly 4 entries, got shape {arr.shape}")
         if arr.min() < -POPULATION_TOL:
@@ -115,7 +142,7 @@ class PopulationVector:
             raise ValueError(f"populations sum to {arr.sum()!r}, not 1")
         arr[arr < 0.0] = 0.0
         arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
+        return super().__new__(cls, arr)
 
 
 class OrderKind(enum.Enum):
@@ -123,18 +150,21 @@ class OrderKind(enum.Enum):
     SINGLET = "singlet"
 
 
-@dataclass(frozen=True)
-class OrderObservable:
-    """A population observable defined by a fixed eigenvalue vector."""
-
+class _ObservableFields(NamedTuple):
     kind: OrderKind
     normalization: float
     eigenvalues: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.eigenvalues, dtype=float, copy=True)
+
+class OrderObservable(_Checked, _ObservableFields):
+    """A population observable defined by a fixed eigenvalue vector (a read-only copy)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, normalization, eigenvalues):
+        arr = np.array(eigenvalues, dtype=float, copy=True)
         arr.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", arr)
+        return super().__new__(cls, kind, normalization, arr)
 
 
 N_ZO = 1.0 / np.sqrt(2.0)
@@ -152,10 +182,6 @@ def epsilon(params: SpinSystemParams) -> float:
     Warns (without failing) when eps exceeds 0.01, where the first-order
     high-temperature treatment used by the engines starts to degrade.
     """
-    if params.temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    if params.b0 <= 0.0:
-        raise ValueError("b0 must be positive")
     # float64 division: where k_B*T underflows to 0 (T below ~1e-300 K), eps is
     # +-inf instead of a ZeroDivisionError
     with np.errstate(divide="ignore", invalid="ignore"):

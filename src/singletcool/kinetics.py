@@ -39,18 +39,21 @@ Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
 from thermal relaxes under the eps-independent generator and the sole
 eps-dependence of any run is the linear thermal source.
+
+`RateMatrix`, `KineticProtocolResult`, `TauSweep` and `FitResult` are immutable
+NamedTuples, like every value type of the package (see `core`): ``_replace``
+derives a changed copy, and a result compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import PopulationVector, SpinSystemParams, epsilon
+from .core import PopulationVector, SpinSystemParams, _Checked, epsilon
 from .protocol import PopulationEngine, TransferMatrix, _reset_matrix, _so_of_deviation
 
 _RATE_CHECK_TOL = 1e-9
@@ -98,8 +101,14 @@ def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray)
     return eye + a * d_so + b * d_t
 
 
-@dataclass(frozen=True)
-class RateMatrix:
+class _RateFields(NamedTuple):
+    r: np.ndarray
+    k_t: float
+    k_s: float
+    eps: float
+
+
+class RateMatrix(_Checked, _RateFields):
     """Calibrated population-relaxation generator.
 
     Attributes:
@@ -108,17 +117,16 @@ class RateMatrix:
         k_t: triplet equilibration rate in s^-1.
         k_s: singlet-exchange rate in s^-1.
         eps: polarization parameter the thermal vector was built with.
+
+    ``r`` is a read-only copy.
     """
 
-    r: np.ndarray
-    k_t: float
-    k_s: float
-    eps: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.r, dtype=float, copy=True)
+    def __new__(cls, r, k_t, k_s, eps):
+        arr = np.array(r, dtype=float, copy=True)
         arr.flags.writeable = False
-        object.__setattr__(self, "r", arr)
+        return super().__new__(cls, arr, k_t, k_s, eps)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -129,7 +137,8 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
     per eps.  Memoized, so the self-check runs once per (t1, ts, eps); failures are not cached.
 
     Raises:
-        ValueError: unless 0 < t1 < ts (k_T would be nonpositive).
+        ValueError: unless 0 < t1 < ts (k_T would be nonpositive), or if 1/t1, and so
+            1/ts, overflows to inf.
         CalibrationError: if the constructed generator does not reproduce
             the requested decay rates on the ZO/SO eigendirections.
     """
@@ -137,6 +146,8 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
         raise ValueError(f"t1 must be positive, got {t1}")
     if ts <= t1:
         raise ValueError(f"ts = {ts} must exceed t1 = {t1} (k_T would be <= 0)")
+    if math.isinf(1.0 / t1):  # and so is any infinite 1/ts, as ts > t1
+        raise ValueError(f"relaxation rate 1/t1 = inf: t1 = {t1!r} is too small")
     k_s = 1.0 / ts
     k_t = 1.0 / t1 - 1.0 / ts
     r = _generator(k_t, k_s, eps)
@@ -169,8 +180,7 @@ def finite_reset(rate: RateMatrix, tau: float) -> TransferMatrix:
     )
 
 
-@dataclass(frozen=True)
-class KineticProtocolResult:
+class KineticProtocolResult(NamedTuple):
     """Output of one kinetic protocol run.
 
     Attributes:
@@ -251,8 +261,7 @@ def zeeman_enhancement_ratio(
                                tau if tau_prime is None else tau_prime)
 
 
-@dataclass(frozen=True)
-class TauSweep:
+class TauSweep(NamedTuple):
     """Signal versus reset duration, with the grid optimum."""
 
     points: tuple[tuple[float, float], ...]
@@ -302,8 +311,7 @@ def decay_curve(
     return tuple((tev, s0 * math.exp(-tev / engine.ts)) for tev in grid.tolist())
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Monoexponential fit y = A*exp(-t/T) with a success flag.
 
     ``ok`` is False (rather than raising) for degenerate data, fits that

@@ -34,14 +34,17 @@ not contain; dropping them keeps the engine exactly on the closed form and
 makes every downstream ratio independent of eps.  ``TransferMatrix``
 objects returned by the matrix constructors are the exact literal
 matrices, so matrix-level identities hold without truncation.
+
+`TransferMatrix` and `PopulationEngine` are immutable NamedTuples, like every value
+type of the package (see `core`): ``_replace`` derives a changed copy and runs the
+constructor's checks.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,11 +53,15 @@ from .core import (
     SINGLET_ORDER,
     ZEEMAN_ORDER,
     PopulationVector,
+    _Checked,
     measure_order,
 )
 
 COLUMN_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
+#: Smallest nonzero |eps| of a population engine: 16 times the smallest normal double,
+#: so that eps/16, and with it the deviations eps/4 and eps/12, stay normal floats.
+MIN_EPS = 2.0**-1018
 
 
 class Permutation(enum.Enum):
@@ -102,8 +109,13 @@ THERMAL_DEVIATION = np.array([0.0, 0.25, 0.0, -0.25])
 _ONES = np.ones(4)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class _TransferFields(NamedTuple):
+    m: np.ndarray
+    label: str
+    tol: float
+
+
+class TransferMatrix(_Checked, _TransferFields):
     """A column-stochastic 4x4 matrix acting on population vectors.
 
     Column j holds the destination distribution of the population of state
@@ -111,27 +123,25 @@ class TransferMatrix:
     entries are nonnegative.  ``tol`` bounds the accepted column-sum
     deviation: the population-algebra constructors use the strict default,
     while matrices derived from numerically propagated unitaries carry the
-    propagator's 1e-9 unitarity budget instead.
+    propagator's 1e-9 unitarity budget instead.  ``m`` is a read-only copy.
     """
 
-    m: np.ndarray
-    label: str = ""
-    tol: float = COLUMN_SUM_TOL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.m, dtype=float, copy=True)
+    def __new__(cls, m, label="", tol=COLUMN_SUM_TOL):
+        arr = np.array(m, dtype=float, copy=True)
         if arr.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {arr.shape}")
         if not arr.min() >= -ENTRY_TOL:
-            raise ValueError(f"negative entry {arr.min():.3e} in transfer matrix {self.label!r}")
+            raise ValueError(f"negative entry {arr.min():.3e} in transfer matrix {label!r}")
         colsums = arr.sum(axis=0)
-        if not np.max(np.abs(colsums - 1.0)) <= self.tol:
+        if not np.max(np.abs(colsums - 1.0)) <= tol:
             raise ValueError(
-                f"transfer matrix {self.label!r} columns sum to {colsums}, not 1"
+                f"transfer matrix {label!r} columns sum to {colsums}, not 1"
             )
         arr[arr < 0.0] = 0.0
         arr.flags.writeable = False
-        object.__setattr__(self, "m", arr)
+        return super().__new__(cls, arr, label, tol)
 
     def apply(self, pop: PopulationVector) -> PopulationVector:
         """Exact matrix action p -> m @ p (no first-order truncation)."""
@@ -233,23 +243,30 @@ def check_simplex(deltas: np.ndarray) -> None:
             PopulationVector(row)
 
 
-@dataclass(frozen=True)
-class PopulationEngine:
+class _EngineFields(NamedTuple):
+    eps: float
+    reset: Callable[[float | np.ndarray], np.ndarray]
+    ts: float
+
+
+class PopulationEngine(_Checked, _EngineFields):
     """The protocol's population map at polarization eps: pump, signal readout, enhancement.
 
     ``reset(tau)`` is the map of a reset interval of duration tau, an array of
     durations giving their stack; ``ts`` is the singlet lifetime, which scales the
     signal after free evolution.  Every state it returns is checked on the simplex.
-    Rejects |eps| >= 1, for both engines and every population entry point.
+    Rejects |eps| >= 1, and 0 < |eps| < `MIN_EPS`, for both engines and every population
+    entry point.
     """
 
-    eps: float
-    reset: Callable[[float | np.ndarray], np.ndarray]
-    ts: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if abs(self.eps) >= 1.0:
-            raise ValueError(f"|eps| = {abs(self.eps)} >= 1")
+    def __new__(cls, eps, reset, ts=math.inf):
+        if abs(eps) >= 1.0:
+            raise ValueError(f"|eps| = {abs(eps)} >= 1")
+        if 0.0 < abs(eps) < MIN_EPS:
+            raise ValueError(f"|eps| = {abs(eps)!r} < 2**-1018: eps/16 is not a normal float")
+        return super().__new__(cls, eps, reset, ts)
 
     def pump(self, n_p: int, tau: float | np.ndarray = 0.0) -> np.ndarray:
         """`_pump` of n_p permutations from thermal, with resets of duration tau."""

@@ -630,6 +630,45 @@ class TestOutputContract:
         assert captured.err.count("\n") == 1
 
 
+class TestEngineLimits:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["enhance", "--gamma", "6.7e-14", "--temperature", "1e300"],
+            ["enhance", "--gamma", "6.7e-13", "--temperature", "1e300"],
+            ["pump", "--mode", "ideal", "--np", "2", "--gamma", "6.7e-13", "--temperature", "1e300"],
+            ["sweep-tau", "--tau-grid", "1,10", "--gamma", "-6.7e-13", "--temperature", "1e300"],
+        ],
+        ids=" ".join,
+    )
+    def test_subnormal_eps_is_a_config_error(self, capsys, args):
+        # eps ~ 1e-323: its deviations would be subnormal, and the run wrong or infinite
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(r"config error: \|eps\| = \S+ is below 2\*\*-1018 \(.*\)", line)
+
+    @pytest.mark.parametrize("mode", ["ideal", "kinetic"])
+    def test_eps_above_the_floor_gives_the_default_ratio(self, capsys, mode):
+        # gamma = 6000 at 1e300 K puts eps ~ 7.5e-307 just above 2**-1018 ~ 3.6e-307
+        ratios = []
+        for extra in ([], ["--gamma", "6000", "--temperature", "1e300"]):
+            assert main(["enhance", "--mode", mode, *extra]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            ratios.append(float(captured.out.splitlines()[1].split(",")[0]))
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("t1, ts", [("1e-320", "1"), ("5e-324", "1e-323")])
+    def test_overflowing_relaxation_rate_is_a_computation_failure(self, capsys, t1, ts):
+        assert main(["pump", "--t1", t1, "--ts", ts]) == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("computation failed: relaxation rate 1/t1 = inf")
+
+
 def run_python(*args):
     """Run a fresh interpreter on the package under test."""
     env = dict(os.environ)
@@ -754,6 +793,21 @@ class TestImportFootprint:
         for kind in (protocol.Permutation.PI124, protocol.Permutation.PI142):
             _, fidelity = coherent.simulate_permutation(kind, params, n_steps=600)
             assert rows[f"fidelity_{kind.value}"] == f",{fidelity!r}"
+
+    def test_only_the_run_config_is_a_dataclass(self):
+        # the value types are NamedTuples: a frozen dataclass builds its methods with
+        # exec at every interpreter start
+        probe = (
+            "import dataclasses, singletcool.cli, sys\n"
+            "for name in ('core', 'protocol', 'kinetics', 'cli'):\n"
+            "    module = sys.modules['singletcool.' + name]\n"
+            "    for value in vars(module).values():\n"
+            "        if (isinstance(value, type) and value.__module__ == module.__name__\n"
+            "                and dataclasses.is_dataclass(value)):\n"
+            "            print(name, value.__name__)\n"
+        )
+        proc = run_python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "cli RunConfig\n", "")
 
     def test_every_command_runs_without_scipy(self):
         # the runtime needs only numpy: each command runs with scipy unimportable

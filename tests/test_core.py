@@ -1,10 +1,14 @@
+import functools
 import itertools
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
 
 import singletcool
+from singletcool import kinetics, protocol
 from singletcool import (
     GAMMA_13C,
     SINGLET_ORDER,
@@ -233,3 +237,115 @@ class TestPackageExports:
         assert len(names) == len(set(names))
         missing = [name for name in names if not hasattr(singletcool, name)]
         assert missing == []
+
+
+def _value_types():
+    """One instance of each of the package's nine value types."""
+    params = SpinSystemParams()
+    return [
+        params,
+        thermal_populations(3e-5),
+        ZEEMAN_ORDER,
+        singletcool.cycle_matrix(3e-5),
+        kinetics.kinetic_engine(params),
+        singletcool.calibrate_rates(7.36, 214.0, 3e-5),
+        singletcool.run_kinetic(4, 28.0, 5.0, params, enhance=True),
+        singletcool.sweep_tau(4, [1.0, 10.0, 100.0], params),
+        singletcool.fit_monoexponential(singletcool.decay_curve(4, 28.0, [0, 50, 100], params)),
+    ]
+
+
+def _same(a, b):
+    """Equal type and bits, field by field; a partial by its function and arguments."""
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, functools.partial):
+        return (a.func, a.args, a.keywords) == (b.func, b.args, b.keywords)
+    return type(a) is type(b) and a == b
+
+
+VALUE_TYPES = _value_types()
+
+
+class TestValueTypes:
+    # the value types are NamedTuples; these pin what their dataclass form promised
+
+    def test_all_nine_are_covered(self):
+        assert sorted(type(v).__name__ for v in VALUE_TYPES) == sorted([
+            "SpinSystemParams", "PopulationVector", "OrderObservable", "TransferMatrix",
+            "PopulationEngine", "RateMatrix", "KineticProtocolResult", "TauSweep", "FitResult",
+        ])
+
+    @pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+    def test_assignment_raises(self, value):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.extra = 1.0  # no instance dict
+
+    @pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+    def test_repr_names_every_field(self, value):
+        fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in value._fields)
+        assert repr(value) == f"{type(value).__name__}({fields})"
+
+    @pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+    def test_pickle_round_trips(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert _same(copy, value)
+        for field in copy:
+            if isinstance(field, np.ndarray):
+                assert not field.flags.writeable
+
+    def test_compares_equal_to_the_tuple_of_its_fields(self):
+        params = SpinSystemParams()
+        assert params == tuple(params) == tuple(getattr(params, n) for n in params._fields)
+        assert SpinSystemParams._field_defaults == params._asdict()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SpinSystemParams()._replace(t1=-1.0), "t1 must be positive"),
+            (lambda: SpinSystemParams()._replace(ts=7.0), "must exceed t1"),
+            (lambda: SpinSystemParams()._replace(gamma=math.inf), "gamma must be finite"),
+            (lambda: SpinSystemParams._make([0.0, 0.057, 16.45, GAMMA_13C, 298.0, 7.36, 214.0]),
+             "j_coupling must be nonzero"),
+            (lambda: thermal_populations(0.0)._replace(p=[0.5, 0.5, 0.5, -0.5]),
+             "negative population"),
+            (lambda: PopulationVector._make([[0.5, 0.5, 0.5, 0.5]]), "populations sum to"),
+            (lambda: singletcool.ideal_reset(0.0)._replace(m=2.0 * np.eye(4)), "columns sum to"),
+            (lambda: singletcool.TransferMatrix._make([np.eye(3), "", 1e-12]), "must be 4x4"),
+            (lambda: kinetics.kinetic_engine(SpinSystemParams())._replace(eps=1.5),
+             re.escape("|eps| = 1.5 >= 1")),
+            (lambda: protocol.ideal_engine(3e-5)._replace(eps=1e-310), re.escape("2**-1018")),
+            (lambda: protocol.PopulationEngine._make([-1.0, None, 1.0]), re.escape("|eps| = 1.0")),
+        ],
+        ids=["spin t1", "spin ts", "spin gamma", "spin make", "population replace",
+             "population make", "transfer replace", "transfer make", "engine replace",
+             "engine subnormal", "engine make"],
+    )
+    def test_replace_and_make_run_the_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [
+            (thermal_populations(3e-5), "p"),
+            (ZEEMAN_ORDER, "eigenvalues"),
+            (singletcool.ideal_reset(3e-5), "m"),
+            (singletcool.calibrate_rates(7.36, 214.0, 3e-5), "r"),
+        ],
+        ids=["PopulationVector", "OrderObservable", "TransferMatrix", "RateMatrix"],
+    )
+    def test_replace_and_make_copy_the_array(self, value, name):
+        source = np.array(getattr(value, name))  # a writeable array of the same bits
+        for built in (value._replace(**{name: source}),
+                      type(value)._make(source if n == name else f
+                                        for n, f in zip(value._fields, value))):
+            field = getattr(built, name)
+            assert _same(field, source)
+            assert not np.shares_memory(field, source)
+            assert not field.flags.writeable

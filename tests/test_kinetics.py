@@ -86,6 +86,15 @@ class TestCalibrateRates:
         with pytest.raises(kinetics.CalibrationError):
             calibrate_rates(float("nan"), 214.0)
 
+    @pytest.mark.parametrize("t1, ts", [(1e-320, 1.0), (5e-324, 1e-323)])
+    def test_overflowing_rate_is_named_before_the_generator(self, t1, ts):
+        # 1/t1 = inf (and 1/ts too in the second case) would give a NaN self-check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"1/t1 = inf: t1 = {t1!r}")) as info:
+                calibrate_rates(t1, ts)
+        assert not isinstance(info.value, kinetics.CalibrationError)
+
     def test_memoized_rate_matrix_is_shared_and_read_only(self):
         rate = calibrate_rates(7.36, 214.0, 3e-5)
         assert calibrate_rates(7.36, 214.0, 3e-5) is rate

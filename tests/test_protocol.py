@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singletcool
+from singletcool import protocol
 from singletcool import (
     SINGLET_ORDER,
     ZEEMAN_ORDER,
@@ -459,6 +460,42 @@ class TestEnhanceZeeman:
             run_ideal(2, eps)
         with pytest.raises(ValueError, match=message):
             ideal_engine(eps)
+
+
+class TestEpsFloor:
+    # below 2**-1018 the deviations eps/4 and eps/12 would be subnormal and lose bits
+
+    def test_floor_is_sixteen_times_the_smallest_normal_double(self):
+        assert protocol.MIN_EPS == 16 * np.finfo(float).tiny == 2.0**-1018
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_at_the_floor_the_engine_agrees_with_a_normal_eps_to_round_off(self, sign):
+        # eps and 2**998 eps have the same bits but for the exponent; only the pump's
+        # decaying transients, ~eps 3^-n, reach subnormals at the floor, an ulp or so
+        low, high = ideal_engine(sign * protocol.MIN_EPS), ideal_engine(sign * 2.0**-20)
+        deltas_low, deltas_high = low.pump(40), high.pump(40)
+        scaled = deltas_low * 2.0**998
+        assert np.max(np.abs(scaled - deltas_high)) <= 1e-15 * np.max(np.abs(deltas_high))
+        assert np.max(np.abs(low.signal(deltas_low) - high.signal(deltas_high))) <= 4e-16
+        assert abs(low.zeeman_ratio(deltas_low[-1]) - high.zeeman_ratio(deltas_high[-1])) <= 4e-16
+
+    @pytest.mark.parametrize("eps", [np.nextafter(2.0**-1018, 0.0), -1e-310, 5e-324])
+    def test_below_the_floor_is_rejected_by_name(self, eps):
+        message = re.escape(f"|eps| = {abs(eps)!r} < 2**-1018")
+        with pytest.raises(ValueError, match=message):
+            ideal_engine(eps)
+        with pytest.raises(ValueError, match=message):
+            run_ideal(2, eps)
+        with pytest.raises(ValueError, match=message):
+            enhance_zeeman(thermal_populations(eps), eps)
+
+    def test_kinetic_engine_rejects_a_subnormal_eps(self):
+        params = SpinSystemParams(gamma=6.7e-13, temperature=1e300)  # eps ~ 8.4e-323
+        with pytest.raises(ValueError, match=re.escape("< 2**-1018")):
+            zeeman_enhancement_ratio(6, 28.0, 18.0, params)
+
+    def test_zero_eps_stays_accepted(self):
+        assert np.array_equal(ideal_engine(0.0).pump(4), np.zeros((5, 4)))
 
 
 class TestTransferMatrix:
