@@ -326,6 +326,8 @@ def _step_exponentials(h: np.ndarray, dt: float, h_norms: np.ndarray) -> np.ndar
     """
     theta = math.sqrt(2.0) * abs(dt) * float(h_norms.max())
     if not math.isfinite(theta):
+        if np.isfinite(h).all():  # entries above ~1e154 square past the largest double
+            raise ValueError(f"step norm of a finite Hamiltonian overflows (theta = {theta!r})")
         raise ValueError(f"non-finite Hamiltonian step norm (theta = {theta!r})")
     s = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     q = _taylor_degree(theta / 2.0**s)
@@ -386,7 +388,8 @@ def _midpoint_propagator(
     for start in range(0, n_steps, _BLOCK_STEPS):
         k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
         h = hamiltonians_at(t0 + (k + 0.5) * dt)
-        norms = np.linalg.norm(h, axis=(-2, -1))
+        with np.errstate(over="ignore"):  # an overflowing norm is named by _step_exponentials
+            norms = np.linalg.norm(h, axis=(-2, -1))
         u = _ordered_product(_step_exponentials(h, dt, norms)) @ u
     return Propagator(u[:4, :4] + 1j * u[4:, :4])
 
@@ -416,8 +419,9 @@ def propagate(
             raise ValueError(
                 f"hamiltonian_of_t must return a 4x4 matrix, got shape {stack.shape[1:]}"
             )
-        defect = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-        norms = np.linalg.norm(stack, axis=(-2, -1))
+        with np.errstate(over="ignore"):  # as in _midpoint_propagator
+            defect = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+            norms = np.linalg.norm(stack, axis=(-2, -1))
         if not np.all(defect <= HERMITICITY_TOL * np.maximum(1.0, norms)):
             raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
         return stack

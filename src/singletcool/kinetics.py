@@ -146,8 +146,9 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
         raise ValueError(f"t1 must be positive, got {t1}")
     if ts <= t1:
         raise ValueError(f"ts = {ts} must exceed t1 = {t1} (k_T would be <= 0)")
-    if math.isinf(1.0 / t1):  # and so is any infinite 1/ts, as ts > t1
-        raise ValueError(f"relaxation rate 1/t1 = inf: t1 = {t1!r} is too small")
+    # an infinite 1/ts is caught too, as ts > t1; float() keeps a numpy scalar from warning
+    if math.isinf(1.0 / float(t1)):
+        raise ValueError(f"relaxation rate 1/t1 = inf: t1 = {float(t1)!r} is too small")
     k_s = 1.0 / ts
     k_t = 1.0 / t1 - 1.0 / ts
     r = _generator(k_t, k_s, eps)

@@ -1,10 +1,7 @@
 import ast
 import contextlib
 import io
-import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -15,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singletcool
+from cli_contract import CASES, misses, run_as_process, run_in_process, run_python
 from singletcool import coherent, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
@@ -42,44 +40,24 @@ def data_rows(lines):
     return [ln for ln in lines[1:] if not ln.startswith("#")]
 
 
+@pytest.mark.parametrize("case", CASES, ids=[case.argv for case in CASES])
+def test_contract_in_process(case):
+    # tests/cli_contract.py: argv -> exit code, stderr lines, stdout
+    assert misses(case, run_in_process) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "coherent-check --n-steps 300",  # a warning line
+    "pump --mode ideal --temperature 0.0085",  # an error line, then a warning
+    "enhance --gamma -2.7126e7",  # a second process for the same output
+])
+def test_contract_as_a_process(argv):
+    # CI runs every case this way (python3 tests/cli_contract.py)
+    (case,) = [case for case in CASES if case.argv == argv]
+    assert misses(case, run_as_process) == []
+
+
 class TestPumpCommand:
-    def test_ideal_columns_and_alternation(self, tmp_path):
-        code, lines = run_cli(tmp_path, "pump", "pump", "--mode", "ideal", "--np", "12")
-        assert code == EXIT_OK
-        assert lines[0] == "n_p,so,signal,closed_form_so"
-        rows = data_rows(lines)
-        assert len(rows) == 13
-        signals = [float(r.split(",")[2]) for r in rows]
-        assert signals[0] == 0.0
-        mags = np.abs(signals)
-        assert all(mags[i] < mags[i + 1] for i in range(len(mags) - 1))
-        assert all(np.sign(signals[i]) == (-1) ** i for i in range(1, 13))
-
-    def test_ideal_matches_closed_form_column(self, tmp_path):
-        code, lines = run_cli(tmp_path, "pump", "pump", "--mode", "ideal", "--np", "8")
-        for row in data_rows(lines):
-            _, so, _, cf = row.split(",")
-            assert float(so) == pytest.approx(float(cf), abs=1e-15)
-
-    def test_kinetic_plateau_by_six_permutations(self, tmp_path):
-        code, lines = run_cli(
-            tmp_path, "pumpk", "pump", "--mode", "kinetic", "--np", "12", "--tau", "28"
-        )
-        assert code == EXIT_OK
-        assert lines[0] == "n_p,so,signal"
-        mags = [abs(float(r.split(",")[2])) for r in data_rows(lines)]
-        assert mags[6] > 0.85
-        assert abs(mags[12] - mags[6]) < 0.005 * mags[12]
-
-    def test_rejects_bad_mode(self, tmp_path):
-        code, _ = run_cli(tmp_path, "bad", "pump", "--mode", "coherent-check")
-        assert code == EXIT_CONFIG
-
-    def test_kinetic_row_zero_is_exactly_zero(self, tmp_path):
-        code, lines = run_cli(tmp_path, "pumpk0", "pump", "--mode", "kinetic", "--np", "4")
-        assert code == EXIT_OK
-        assert data_rows(lines)[0] == "0,0.0,0.0"
-
     @pytest.mark.parametrize("tau_ev", [0.0, 50.0])
     def test_kinetic_rows_equal_separate_runs(self, tmp_path, tau_ev):
         code, lines = run_cli(
@@ -195,45 +173,7 @@ class TestPumpCommand:
             assert capsys.readouterr().err.startswith("computation failed:")
 
 
-class TestSweepCommand:
-    def test_row_count_and_shape(self, tmp_path):
-        code, lines = run_cli(
-            tmp_path, "sweep", "sweep-tau", "--np", "6",
-            "--tau-grid", "0.1,1,10,28,60,120,240",
-        )
-        assert code == EXIT_OK
-        assert lines[0] == "tau,signal"
-        rows = data_rows(lines)
-        assert len(rows) == 7
-        assert lines[-1].startswith("# optimum:")
-        sig = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
-        assert sig[0.1] < sig[28.0]
-        assert sig[240.0] < sig[28.0]
-
-    def test_requires_grid(self, tmp_path):
-        code, _ = run_cli(tmp_path, "sweepng", "sweep-tau", "--np", "6")
-        assert code == EXIT_CONFIG
-
-    def test_rejects_unsorted_grid(self, tmp_path):
-        code, _ = run_cli(
-            tmp_path, "sweepbad", "sweep-tau", "--np", "6", "--tau-grid", "10,5,1"
-        )
-        assert code == EXIT_CONFIG
-
-
 class TestDecayCommand:
-    def test_fit_recovers_ts(self, tmp_path):
-        grid = ",".join(str(v) for v in np.linspace(0.0, 600.0, 16))
-        code, lines = run_cli(
-            tmp_path, "decay", "decay", "--np", "6", "--tau", "28",
-            "--tau-ev-grid", grid,
-        )
-        assert code == EXIT_OK
-        summary = lines[-1]
-        assert "status = ok" in summary
-        t_fit = float(summary.split("time_constant = ")[1].split(",")[0])
-        assert t_fit == pytest.approx(214.0, rel=2e-2)
-
     def test_normalized_curve_invariant_under_joint_scaling(self, tmp_path):
         grid1 = ",".join(str(v) for v in np.linspace(0.0, 400.0, 9))
         grid2 = ",".join(str(2 * v) for v in np.linspace(0.0, 400.0, 9))
@@ -249,40 +189,8 @@ class TestDecayCommand:
         s2 = np.array([float(r.split(",")[1]) for r in data_rows(lines2)])
         np.testing.assert_allclose(s1 / s1[0], s2 / s2[0], rtol=1e-9)
 
-    def test_single_point_grid_rejected(self, tmp_path):
-        code, _ = run_cli(
-            tmp_path, "decay1pt", "decay", "--np", "6", "--tau-ev-grid", "10.0"
-        )
-        assert code == EXIT_CONFIG
-
-    def test_fit_failure_exit_code(self, tmp_path):
-        # n_p = 0 pumps nothing: the curve is identically zero and the fit
-        # must report failure through the summary and the exit code
-        code, lines = run_cli(
-            tmp_path, "decayfail", "decay", "--np", "0", "--tau-ev-grid", "0,50,100"
-        )
-        assert code == EXIT_COMPUTE
-        assert "status = failed" in lines[-1]
-
 
 class TestEnhanceCommand:
-    def test_ideal_gain_is_three_halves(self, tmp_path):
-        code, lines = run_cli(tmp_path, "enh", "enhance", "--mode", "ideal", "--np", "40")
-        assert code == EXIT_OK
-        assert lines[0] == "zo_ratio,spin_temperature_ratio"
-        ratio, temp_ratio = map(float, lines[1].split(","))
-        assert ratio == pytest.approx(1.5, rel=1e-15, abs=0.0)
-        assert temp_ratio == pytest.approx(2 / 3, rel=1e-15, abs=0.0)
-
-    def test_kinetic_gain_in_band(self, tmp_path):
-        code, lines = run_cli(
-            tmp_path, "enhk", "enhance", "--mode", "kinetic", "--np", "6",
-            "--tau", "28", "--tau-prime", "18",
-        )
-        ratio = float(lines[1].split(",")[0])
-        assert 1.21 <= ratio <= 1.5
-        assert ratio == pytest.approx(1.350098140870527, rel=1e-9)
-
     @pytest.mark.parametrize("system", [
         {},
         {"gamma": -2.7116e7, "b0": 9.4},
@@ -300,10 +208,6 @@ class TestEnhanceCommand:
         ratio = singletcool.zeeman_enhancement_ratio(10, 21.5, 13.0, params)
         assert lines[1].split(",")[0] == repr(float(ratio))
 
-    def test_odd_count_rejected(self, tmp_path):
-        code, _ = run_cli(tmp_path, "enhodd", "enhance", "--mode", "ideal", "--np", "5")
-        assert code == EXIT_CONFIG
-
     def test_ratio_independent_of_polarization(self, tmp_path):
         # temperature rescales eps tenfold; every normalized ratio is
         # unchanged because the pipeline is linear in eps
@@ -318,32 +222,6 @@ class TestEnhanceCommand:
         ra = float(lines_a[1].split(",")[0])
         rb = float(lines_b[1].split(",")[0])
         assert ra == pytest.approx(rb, rel=1e-6)
-
-
-class TestCoherentCheckCommand:
-    def test_report_sections(self, tmp_path):
-        code, lines = run_cli(
-            tmp_path, "coh", "coherent-check", "--n-steps", "600"
-        )
-        assert code == EXIT_OK
-        assert lines[0] == "section,x,y"
-        sections = {ln.split(",")[0] for ln in lines[1:]}
-        assert {"ab_line", "inner_splitting_hz", "fidelity_pi124",
-                "fidelity_pi142", "composite_overlap"} <= sections
-        assert sum(ln.startswith("ab_line") for ln in lines) == 4
-        assert sum(ln.startswith("composite_overlap") for ln in lines) == 13
-
-    def test_reported_values(self, tmp_path):
-        _, lines = run_cli(tmp_path, "cohv", "coherent-check", "--n-steps", "600")
-        by_section = {}
-        for ln in lines[1:]:
-            section, x, y = ln.split(",")
-            by_section.setdefault(section, []).append((x, float(y)))
-        assert by_section["inner_splitting_hz"][0][1] == pytest.approx(0.92, abs=5e-3)
-        for _, fid in by_section["fidelity_pi124"] + by_section["fidelity_pi142"]:
-            assert 0.5 < fid <= 1.0
-        overlap_at_1 = dict(by_section["composite_overlap"])["1.0"]
-        assert overlap_at_1 == pytest.approx(1.0, abs=1e-6)
 
 
 class TestConfigHandling:
@@ -377,11 +255,6 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert main(["pump", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("value", ["-3", "-inf", "-3e0", "-.5E+1"])
-    def test_negative_duration_rejected(self, capsys, value):
-        assert main(["pump", "--tau", value]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: tau must be finite and >= 0\n"
-
     @pytest.mark.parametrize(
         "args",
         [
@@ -407,68 +280,10 @@ class TestConfigHandling:
         assert runs[0] == runs[1]
         assert "expected one argument" not in runs[0][2]
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["enhance", "--tau", "nan"],
-            ["enhance", "--tau-prime", "nan"],
-            ["pump", "--j", "nan"],
-            ["pump", "--temperature", "nan"],
-            ["pump", "--gamma", "inf"],
-            ["pump", "--ts", "inf"],
-            ["pump", "--b0", "nan"],
-            ["pump", "--tau-ev", "inf"],
-            ["sweep-tau", "--tau-grid", "nan"],
-            # grids out of the engines' domain are config errors, too
-            ["sweep-tau", "--tau-grid=-1,2"],
-            ["decay", "--tau-ev-grid=-5,0,10"],
-            ["sweep-tau", "--tau-grid=,"],
-        ],
-        ids=" ".join,
-    )
-    def test_non_finite_values_rejected(self, tmp_path, args):
-        code, lines = run_cli(tmp_path, "nonfinite", *args)
-        assert code == EXIT_CONFIG
-        assert lines == []
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["pump", "--gamma", "0"],
-            ["enhance", "--gamma", "0"],
-            ["sweep-tau", "--gamma", "0", "--tau-grid", "1,10"],
-            ["decay", "--gamma", "0", "--tau-ev-grid", "0,50,100"],
-            ["pump", "--mode", "ideal", "--temperature", "1e-25"],
-            ["pump", "--mode", "kinetic", "--temperature", "1e-25"],
-            # k_B*T underflows to 0, so eps is infinite
-            ["enhance", "--temperature", "1e-308"],
-        ],
-        ids=" ".join,
-    )
-    @pytest.mark.filterwarnings("ignore:eps = .* outside the high-temperature regime")
-    def test_polarization_outside_model_domain_rejected(self, tmp_path, capsys, args):
-        # the population engines need 0 < |eps| < 1
-        code, lines = run_cli(tmp_path, "badeps", *args)
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert lines == []
-        assert err.startswith("config error:")
-        assert "Traceback" not in err
-
-    def test_coherent_check_does_not_need_polarization(self, tmp_path):
-        code, lines = run_cli(
-            tmp_path, "cohg0", "coherent-check", "--gamma", "0", "--n-steps", "200"
-        )
-        assert code == EXIT_OK
-        assert lines[0] == "section,x,y"
-
     def test_non_finite_value_in_config_file_rejected(self, tmp_path):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("t1 = nan\n")
         assert main(["pump", "--config", str(cfg)]) == EXIT_CONFIG
-
-    def test_unknown_flag_rejected(self):
-        assert main(["pump", "--frequency", "3"]) == EXIT_CONFIG
 
     def test_grid_in_config_file(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
@@ -519,11 +334,6 @@ class TestRunKeyTable:
         listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
         expected = {flag_of(f.name) for f in fields(RunConfig)} | {"--config", "--help"}
         assert listed == expected
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_coherent_check_is_not_a_mode(self, capsys, command):
-        assert main([command, "--mode", "coherent-check"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: unknown mode 'coherent-check'\n"
 
 
 def _key_value(name, value):
@@ -603,52 +413,8 @@ class TestOutputContract:
         )
         assert code == EXIT_IO
 
-    def test_stdout_default(self, capsys):
-        assert main(["pump", "--mode", "ideal", "--np", "2"]) == EXIT_OK
-        captured = capsys.readouterr().out.splitlines()
-        assert captured[0] == "n_p,so,signal,closed_form_so"
-        assert len(data_rows(captured)) == 3
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["pump", "--mode", "ideal"],
-            ["pump", "--mode", "kinetic"],
-            ["enhance"],
-            ["sweep-tau", "--tau-grid", "1,2,3"],
-            ["decay", "--tau-ev-grid", "0,50,100"],
-        ],
-        ids=" ".join,
-    )
-    def test_unallocatable_pump_is_a_computation_failure(self, capsys, args):
-        # 1e16 rows of 32 bytes exceed any address space, so numpy refuses the
-        # array at once, whatever the memory overcommit policy
-        assert main([*args, "--np", str(10**16)]) == EXIT_COMPUTE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("computation failed: Unable to allocate")
-        assert captured.err.count("\n") == 1
-
 
 class TestEngineLimits:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["enhance", "--gamma", "6.7e-14", "--temperature", "1e300"],
-            ["enhance", "--gamma", "6.7e-13", "--temperature", "1e300"],
-            ["pump", "--mode", "ideal", "--np", "2", "--gamma", "6.7e-13", "--temperature", "1e300"],
-            ["sweep-tau", "--tau-grid", "1,10", "--gamma", "-6.7e-13", "--temperature", "1e300"],
-        ],
-        ids=" ".join,
-    )
-    def test_subnormal_eps_is_a_config_error(self, capsys, args):
-        # eps ~ 1e-323: its deviations would be subnormal, and the run wrong or infinite
-        assert main(args) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert re.fullmatch(r"config error: \|eps\| = \S+ is below 2\*\*-1018 \(.*\)", line)
-
     @pytest.mark.parametrize("mode", ["ideal", "kinetic"])
     def test_eps_above_the_floor_gives_the_default_ratio(self, capsys, mode):
         # gamma = 6000 at 1e300 K puts eps ~ 7.5e-307 just above 2**-1018 ~ 3.6e-307
@@ -659,64 +425,6 @@ class TestEngineLimits:
             assert captured.err == ""
             ratios.append(float(captured.out.splitlines()[1].split(",")[0]))
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-15, abs=0.0)
-
-    @pytest.mark.parametrize("t1, ts", [("1e-320", "1"), ("5e-324", "1e-323")])
-    def test_overflowing_relaxation_rate_is_a_computation_failure(self, capsys, t1, ts):
-        assert main(["pump", "--t1", t1, "--ts", ts]) == EXIT_COMPUTE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("computation failed: relaxation rate 1/t1 = inf")
-
-
-def run_python(*args):
-    """Run a fresh interpreter on the package under test."""
-    env = dict(os.environ)
-    src = str(Path(singletcool.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
-
-
-class TestProcessStderr:
-    # as a real process, warnings reach stderr; pytest captures them in process
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["pump", "--mode", "ideal"],
-            ["pump", "--mode", "kinetic"],
-            ["sweep-tau", "--tau-grid", "1,28"],
-        ],
-        ids=" ".join,
-    )
-    def test_engine_domain_error_is_a_computation_failure(self, args):
-        # eps ~ 0.995 passes the eps check, but the first-order engines
-        # leave the population simplex
-        proc = run_python("-m", "singletcool.cli", *args, "--temperature", "0.0085")
-        assert proc.returncode == EXIT_COMPUTE
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("computation failed:")
-        assert "Traceback" not in proc.stderr
-        # the high-temperature warning is still reported, after the error
-        assert "\nwarning: eps = 0.995 is outside" in proc.stderr
-
-    @pytest.mark.parametrize("command", ["pump", "enhance"])
-    def test_kinetic_rows_off_the_simplex_are_a_computation_failure(self, command):
-        # eps ~ 0.995 and tau = 100 s: the last pumped state is on the simplex,
-        # but rows 3 and 5 of the pump have a population of -0.06
-        proc = run_python("-m", "singletcool.cli", command, "--mode", "kinetic",
-                          "--temperature", "0.0085", "--tau", "100", "--np", "6")
-        assert proc.returncode == EXIT_COMPUTE
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("computation failed: negative population")
-
-    def test_config_error_comes_before_any_warning(self):
-        proc = run_python("-m", "singletcool.cli", "pump", "--temperature", "1e-25")
-        assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.startswith("config error:")
-        assert "warning" not in proc.stderr.lower()
 
 
 class TestOverflowingSpinFrequency:
@@ -732,30 +440,6 @@ class TestOverflowingSpinFrequency:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("computation failed: non-finite frequency ")
-
-
-class TestCoherentCheckStepError:
-    # the fidelities are checked against a run at about half the steps
-
-    def test_one_step_warns_but_keeps_rows_and_exit_code(self):
-        proc = run_python("-m", "singletcool.cli", "coherent-check", "--n-steps", "1")
-        assert proc.returncode == EXIT_OK
-        fidelities = [ln for ln in proc.stdout.splitlines() if ln.startswith("fidelity_")]
-        assert len(fidelities) == 2
-        assert all(float(ln.split(",")[2]) < 0.1 for ln in fidelities)
-        (warning,) = proc.stderr.splitlines()
-        assert warning.startswith("warning: fidelity step error estimate")
-        assert "--n-steps" in warning
-        estimate = float(warning.split("estimate ")[1].split()[0])
-        assert estimate > 0.1  # the converged fidelity is 0.708
-
-    def test_default_steps_give_no_warning(self):
-        proc = run_python("-m", "singletcool.cli", "coherent-check")
-        assert proc.returncode == EXIT_OK
-        assert proc.stderr == ""
-        fidelities = [ln for ln in proc.stdout.splitlines() if ln.startswith("fidelity_")]
-        assert all(float(ln.split(",")[2]) == pytest.approx(0.7081651662, rel=1e-9)
-                   for ln in fidelities)
 
 
 class TestEngineBoundary:

@@ -354,6 +354,15 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(lambda t: np.zeros((4, 4), dtype=complex), (0.0, 1.0), 0)
 
+    def test_overflowing_norm_of_a_finite_hamiltonian_is_named(self):
+        # finite entries of 1e200 square past the largest double in the Frobenius norms
+        h = np.diag([1e200, 0.0, 0.0, -1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                propagate(lambda t: h, (0.0, 1.0), 10)
+        assert str(info.value) == "step norm of a finite Hamiltonian overflows (theta = inf)"
+
     @pytest.mark.parametrize(
         "n_steps",
         [1, coherent._BLOCK_STEPS - 1, coherent._BLOCK_STEPS, 2 * coherent._BLOCK_STEPS + 1],
