@@ -10,7 +10,13 @@ Three fidelity layers simulate the same pumping protocol:
   adiabatic conversion pulse and composite pulses.
 
 `singletcool.cli` exposes the command-line front end (``singletcool``).
+
+`kinetics`, which imports numpy, is imported on first access to one of its names
+(PEP 562), as are ``SINGLET_ORDER`` and ``ZEEMAN_ORDER``; ``import singletcool``
+imports no numpy.
 """
+
+import importlib
 
 from .core import (
     GAMMA_13C,
@@ -19,26 +25,11 @@ from .core import (
     OrderKind,
     OrderObservable,
     PopulationVector,
-    SINGLET_ORDER,
     SpinSystemParams,
-    ZEEMAN_ORDER,
     epsilon,
     measure_order,
     thermal_populations,
     unitary_max_order,
-)
-from .kinetics import (
-    FitResult,
-    KineticProtocolResult,
-    RateMatrix,
-    TauSweep,
-    calibrate_rates,
-    decay_curve,
-    finite_reset,
-    fit_monoexponential,
-    run_kinetic,
-    sweep_tau,
-    zeeman_enhancement_ratio,
 )
 from .protocol import (
     Permutation,
@@ -55,6 +46,18 @@ from .protocol import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`kinetics` and its names in `__all__`, and the observables of `core`, imported on
+    first access: each imports numpy."""
+    if name in ("SINGLET_ORDER", "ZEEMAN_ORDER"):
+        return getattr(importlib.import_module(".core", __name__), name)
+    if name != "kinetics" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    kinetics = importlib.import_module(".kinetics", __name__)
+    return kinetics if name == "kinetics" else getattr(kinetics, name)
+
 
 __all__ = [
     "GAMMA_13C",

@@ -16,7 +16,9 @@ regenerate the reference scenario of the bundled 13C2 spin pair.
 
 In pump and enhance, --mode picks the library's population engine, ideal or
 kinetic, and each command reads its rows off one checked pump of that engine.
-The pulse-level engine `coherent` is imported on demand, by coherent-check alone.
+The engines `kinetics` and `coherent` are imported on demand, so numpy is too:
+pump and enhance in ideal mode run on Python floats and never import it (numpy
+loads only to report a state off the simplex).
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import kinetics, protocol
+from . import protocol
 from .core import SpinSystemParams, epsilon
 
 EXIT_OK = 0
@@ -43,6 +43,10 @@ SIGNAL_NOTE = "# signal of 1.0 = thermal-equilibrium signal of a 90-degree pulse
 
 class ConfigError(Exception):
     pass
+
+
+class FailedRows(Exception):
+    """A computation failure, with args (message, lines), whose rows are still written."""
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -108,6 +112,7 @@ class RunConfig:
                 # the engines accept +inf, which no CLI grid may hold
                 if not all(math.isfinite(x) for x in grid):
                     raise ConfigError(f"{flag} entries must be finite")
+                from . import kinetics
                 kinetics.check_grid(grid, flag)
             self.spin_params()
         except ValueError as exc:
@@ -221,21 +226,24 @@ def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
 
 def _engine(config: RunConfig, params: SpinSystemParams, eps: float) -> protocol.PopulationEngine:
     """The population engine of --mode."""
-    return protocol.ideal_engine(eps) if config.mode == "ideal" else kinetics.kinetic_engine(params)
+    if config.mode == "ideal":
+        return protocol.ideal_engine(eps)
+    from . import kinetics
+    return kinetics.kinetic_engine(params)
 
 
 def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
     """One row per permutation count from 0 to np."""
     params, eps = _population_params(config)
     engine = _engine(config, params, eps)
-    # the pump for k permutations is a prefix of the pump for n_p
-    sig = engine.signal(engine.pump(config.n_p, config.tau), config.tau_ev)
-    so = sig * eps * np.sqrt(3.0) / 4.0  # detected SO behind the signal
     ideal = config.mode == "ideal"
     lines = ["n_p,so,signal" + (",closed_form_so" if ideal else ""), SIGNAL_NOTE]
-    for k, (so_k, sig_k) in enumerate(zip(so.tolist(), sig.tolist())):
+    # the pump for k permutations is a prefix of the pump for n_p
+    for k, delta in enumerate(engine.pump(config.n_p, config.tau)):
+        sig = engine.signal(delta, config.tau_ev)
+        so = sig * eps * math.sqrt(3.0) / 4.0  # detected SO behind the signal
         closed = f",{_fmt(protocol.closed_form_so(k, eps))}" if ideal else ""
-        lines.append(f"{k},{_fmt(so_k)},{_fmt(sig_k)}{closed}")
+        lines.append(f"{k},{_fmt(so)},{_fmt(sig)}{closed}")
     return lines, EXIT_OK
 
 
@@ -245,6 +253,7 @@ def cmd_sweep_tau(config: RunConfig) -> tuple[list[str], int]:
     if config.mode != "kinetic":
         raise ConfigError("sweep-tau runs on the kinetic engine (mode kinetic)")
     params, _ = _population_params(config)
+    from . import kinetics
     sweep = kinetics.sweep_tau(config.n_p, config.tau_grid, params)
     lines = ["tau,signal", SIGNAL_NOTE]
     lines += [f"{_fmt(tau)},{_fmt(sig)}" for tau, sig in sweep.points]
@@ -261,6 +270,7 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
     if config.mode != "kinetic":
         raise ConfigError("decay runs on the kinetic engine (mode kinetic)")
     params, _ = _population_params(config)
+    from . import kinetics
     curve = kinetics.decay_curve(config.n_p, config.tau, config.tau_ev_grid, params)
     fit = kinetics.fit_monoexponential(curve)
     lines = ["tau_ev,signal", SIGNAL_NOTE]
@@ -274,7 +284,7 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
         )
         return lines, EXIT_OK
     lines.append(f"# fit: status = failed ({fit.message})")
-    return lines, EXIT_COMPUTE
+    raise FailedRows(f"exponential fit failed ({fit.message})", lines)
 
 
 def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
@@ -304,6 +314,8 @@ def _fidelity_step_error(
 
 
 def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
+    import numpy as np
+
     from . import coherent  # imported on demand: no other command needs it
     params = config.spin_params()
     lines = ["section,x,y"]
@@ -361,6 +373,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
+    failure = None
     try:
         args = _build_parser().parse_args(argv)
         config = build_config(args)
@@ -368,6 +381,8 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FailedRows as exc:  # the rows, then the error
+        (failure, lines), code = exc.args, EXIT_COMPUTE
     except (ValueError, MemoryError) as exc:  # domain, self-checks, an unallocatable pump
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -376,6 +391,8 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except OSError as exc:
         print(f"i/o error writing {config.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO
+    if failure is not None:
+        print(f"computation failed: {failure}", file=sys.stderr)
     return code
 
 

@@ -419,10 +419,14 @@ def propagate(
             raise ValueError(
                 f"hamiltonian_of_t must return a 4x4 matrix, got shape {stack.shape[1:]}"
             )
+        # both sides of defect <= tol * max(1, |H|) divided by max(1, largest |entry|), so
+        # that no norm overflows: a huge non-Hermitian matrix is named as one
         with np.errstate(over="ignore"):  # as in _midpoint_propagator
-            defect = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-            norms = np.linalg.norm(stack, axis=(-2, -1))
-        if not np.all(defect <= HERMITICITY_TOL * np.maximum(1.0, norms)):
+            scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+            scaled = stack / scale[:, None, None]
+            defect = np.linalg.norm(scaled - scaled.conj().swapaxes(-1, -2), axis=(-2, -1))
+            norms = np.linalg.norm(scaled, axis=(-2, -1))
+        if not np.all(defect <= HERMITICITY_TOL * np.maximum(1.0 / scale, norms)):
             raise ValueError("hamiltonian_of_t returned a non-Hermitian matrix")
         return stack
 

@@ -29,6 +29,10 @@ The value types of this package (`SpinSystemParams`, `PopulationVector` and
 ``dataclasses.replace``; ``_replace`` and ``_make`` run the constructor's checks.
 Array fields are read-only copies.  Like any tuple, a value type compares equal
 to the plain tuple of its fields.
+
+numpy is imported where an array is built, not with the module: `epsilon` and the
+population engines of `protocol` run on Python floats, and ``ZEEMAN_ORDER`` and
+``SINGLET_ORDER`` are built on first access.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Exact SI values (2019 redefinition): reduced Planck constant in J s and
 #: Boltzmann constant in J/K.
@@ -133,6 +138,8 @@ class PopulationVector(_Checked, _PopulationFields):
     __slots__ = ()
 
     def __new__(cls, p):
+        import numpy as np
+
         arr = np.array(p, dtype=float, copy=True)
         if arr.shape != (4,):
             raise ValueError(f"population vector needs exactly 4 entries, got shape {arr.shape}")
@@ -162,18 +169,30 @@ class OrderObservable(_Checked, _ObservableFields):
     __slots__ = ()
 
     def __new__(cls, kind, normalization, eigenvalues):
+        import numpy as np
+
         arr = np.array(eigenvalues, dtype=float, copy=True)
         arr.flags.writeable = False
         return super().__new__(cls, kind, normalization, arr)
 
 
-N_ZO = 1.0 / np.sqrt(2.0)
-N_SO = np.sqrt(3.0) / 2.0
+N_ZO = 1.0 / math.sqrt(2.0)
+N_SO = math.sqrt(3.0) / 2.0
 
-ZEEMAN_ORDER = OrderObservable(OrderKind.ZEEMAN, N_ZO, N_ZO * np.array([0.0, 1.0, 0.0, -1.0]))
-SINGLET_ORDER = OrderObservable(
-    OrderKind.SINGLET, N_SO, N_SO * np.array([1.0, -1.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
-)
+#: The fields of ``ZEEMAN_ORDER`` and ``SINGLET_ORDER``.
+_OBSERVABLES = {
+    "ZEEMAN_ORDER": (OrderKind.ZEEMAN, N_ZO, [0.0, N_ZO, 0.0, -N_ZO]),
+    "SINGLET_ORDER": (OrderKind.SINGLET, N_SO, [N_SO * x for x in (1.0, -1 / 3, -1 / 3, -1 / 3)]),
+}
+
+
+def __getattr__(name: str) -> OrderObservable:
+    """``ZEEMAN_ORDER`` and ``SINGLET_ORDER``, built on first access (PEP 562) and kept as
+    module attributes: their eigenvalues are a numpy array."""
+    if name not in _OBSERVABLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = OrderObservable(*_OBSERVABLES[name])
+    return value
 
 
 def epsilon(params: SpinSystemParams) -> float:
@@ -182,10 +201,10 @@ def epsilon(params: SpinSystemParams) -> float:
     Warns (without failing) when eps exceeds 0.01, where the first-order
     high-temperature treatment used by the engines starts to degrade.
     """
-    # float64 division: where k_B*T underflows to 0 (T below ~1e-300 K), eps is
-    # +-inf instead of a ZeroDivisionError
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps = float(np.float64(hbar * params.gamma * params.b0) / (k_B * params.temperature))
+    num, den = hbar * params.gamma * params.b0, k_B * params.temperature
+    # IEEE division: where k_B*T underflows to 0 (T below ~1e-300 K), eps is
+    # +-inf (nan for gamma = 0) instead of a ZeroDivisionError
+    eps = num / den if den else math.copysign(math.inf, num) if num else math.nan
     if abs(eps) > 0.01:
         warnings.warn(
             f"eps = {eps:.3g} is outside the high-temperature regime; "
@@ -199,7 +218,7 @@ def thermal_populations(eps: float) -> PopulationVector:
     """Thermal-equilibrium populations (1, 1+eps, 1, 1-eps)/4."""
     if abs(eps) >= 1.0:
         raise ValueError(f"|eps| = {abs(eps)} >= 1: high-temperature expansion invalid")
-    return PopulationVector(np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0)
+    return PopulationVector([x / 4.0 for x in (1.0, 1.0 + eps, 1.0, 1.0 - eps)])
 
 
 def measure_order(pop: PopulationVector, obs: OrderObservable) -> float:
@@ -223,8 +242,8 @@ def unitary_max_order(pop: PopulationVector, obs: OrderObservable) -> float:
     asymmetric spectrum (singlet order) the most negative reachable value
     can exceed it in magnitude.
     """
-    lam = np.sort(obs.eigenvalues)[::-1]
-    ps = np.sort(pop.p)[::-1]
+    lam = sorted(obs.eigenvalues.tolist(), reverse=True)
+    ps = sorted(pop.p.tolist(), reverse=True)
     # fsum: exactly-rounded, so the result is independent of pairing order
     # and matches an exhaustive-permutation evaluation bit for bit
-    return math.fsum(lam * ps)
+    return math.fsum(x * y for x, y in zip(lam, ps))

@@ -25,15 +25,17 @@ cached per eps; the generator is the rate of the maps at tau = 0,
 
 tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet reset
 Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its
-T1 << tau << TS limit.
+T1 << tau << TS limit.  The engine steps with the two factors alone, as
+a = expm1(-k_S tau) and b = expm1(-(k_T+k_S) tau) in `protocol._reset`; the ideal
+engine's (a, b) is (0, -1).
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
 pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
 pump of `kinetic_engine`, the `protocol.PopulationEngine` of these maps: the
 build-up is the SO of every row, a decay curve scales the signal of the last row,
-the enhancement ratio enhances the last row, and a tau sweep pumps the stack of
-its grid's maps.
+the enhancement ratio enhances the last row, and a tau sweep pumps the arrays of
+its grid's decay factors as one stack.
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
@@ -88,16 +90,26 @@ def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
     return -k_t * d_t - k_s * (d_so + d_t)
 
 
+def _decay_factors(k_t: float, k_s: float, tau: float | np.ndarray) -> tuple:
+    """(a, b) = (expm1(-k_S tau), expm1(-(k_T + k_S) tau)): the departures from 1 of the
+    decay factors of Theta - P_eq and I - Theta over an interval tau, the factors of
+    `protocol._reset` and of `_relaxation_map`.  Python floats for one interval, arrays of
+    tau's shape for an array of them, every element from numpy's expm1, so that a stack
+    equals its scalar calls bit for bit.  A k*tau past float64 is exact: expm1(-inf) = -1."""
+    taus = np.asarray(tau, dtype=float)
+    with np.errstate(over="ignore"):
+        a, b = np.expm1(-k_s * taus), np.expm1(-(k_t + k_s) * taus)
+    return (a, b) if taus.ndim else (float(a), float(b))
+
+
 def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:
     """exp(R*tau) in projector form, from the parts cached per eps; as P_eq + (Theta - P_eq)
     + (I - Theta) = I, expm1 carries the departure from I, which keeps short intervals accurate.
 
     An array of intervals gives the stack of maps, shape tau.shape + (4, 4), each
-    slice equal to the scalar call.  A k*tau past float64 is exact: expm1(-inf) = -1."""
+    slice equal to the scalar call."""
     eye, d_so, d_t = _map_parts(eps)
-    tau = np.asarray(tau, dtype=float)[..., None, None]
-    with np.errstate(over="ignore"):
-        a, b = np.expm1(-k_s * tau), np.expm1(-(k_t + k_s) * tau)
+    a, b = (np.asarray(f)[..., None, None] for f in _decay_factors(k_t, k_s, tau))
     return eye + a * d_so + b * d_t
 
 
@@ -213,8 +225,7 @@ def kinetic_engine(params: SpinSystemParams) -> PopulationEngine:
     under the eps = 0 generator (first order in eps), and singlet order decays at 1/TS."""
     eps = epsilon(params)
     rate = calibrate_rates(params.t1, params.ts, eps)
-    relax = functools.partial(_relaxation_map, rate.k_t, rate.k_s, 0.0)
-    return PopulationEngine(eps, relax, params.ts)
+    return PopulationEngine(eps, functools.partial(_decay_factors, rate.k_t, rate.k_s), params.ts)
 
 
 def run_kinetic(
@@ -238,14 +249,14 @@ def run_kinetic(
     """
     _check_intervals(tau, tau_ev, tau_prime)
     engine = kinetic_engine(params)
-    deltas = engine.pump(n_p, tau)
-    so = _so_of_deviation(deltas).tolist()
+    states = engine.pump(n_p, tau)
+    so = [_so_of_deviation(delta) for delta in states]
     tp = tau if tau_prime is None else tau_prime
     return KineticProtocolResult(
-        populations_after_pump=PopulationVector(0.25 + deltas[-1]),
+        populations_after_pump=PopulationVector([0.25 + d for d in states[-1]]),
         so_trace=tuple(enumerate(so)),
         signal=engine.signal_of_so(so[-1], tau_ev),
-        zo_final=engine.enhance(deltas[-1], tp)[1] if enhance else None,
+        zo_final=engine.enhance(states[-1], tp)[1] if enhance else None,
     )
 
 

@@ -16,8 +16,11 @@ A pump of n_p permutations is the step sequence
 read left to right in chronological order; the enhancement stage is one
 more Theta followed by the 1<->2 swap pi_12.  `PopulationEngine` states this
 map once: it pumps, reads the signal and enhances, every state checked on the
-simplex.  The ideal engine (`ideal_engine`) resets with Theta, the kinetic one
-(`kinetics.kinetic_engine`) with the relaxation map of a finite interval.
+simplex.  Every reset is one expression in two decay factors (`_reset`): the
+ideal engine (`ideal_engine`) resets with Theta, the kinetic one
+(`kinetics.kinetic_engine`) with the relaxation map of a finite interval.  The
+engines run on Python floats, and on numpy arrays for a stack of intervals, so a
+scalar run imports no numpy.
 Applied to thermal equilibrium the singlet order after n_p permutations is
 
     SO(n_p) = (-1)^n_p * (eps*sqrt(3)/4) * (1 - 3^-n_p)
@@ -44,18 +47,13 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
+from .core import N_SO, N_ZO, POPULATION_TOL, PopulationVector, _Checked, measure_order
 
-from .core import (
-    POPULATION_TOL,
-    SINGLET_ORDER,
-    ZEEMAN_ORDER,
-    PopulationVector,
-    _Checked,
-    measure_order,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 COLUMN_SUM_TOL = 1e-12
 ENTRY_TOL = 1e-12
@@ -72,41 +70,29 @@ class Permutation(enum.Enum):
     PI12 = "pi12"    # swap:    1 <-> 2
 
 
-_PERM_MATRICES = {
-    Permutation.PI124: np.array(
-        [[0, 0, 0, 1],
-         [1, 0, 0, 0],
-         [0, 0, 1, 0],
-         [0, 1, 0, 0]], dtype=float),
-    Permutation.PI142: np.array(
-        [[0, 1, 0, 0],
-         [0, 0, 0, 1],
-         [0, 0, 1, 0],
-         [1, 0, 0, 0]], dtype=float),
-    Permutation.PI12: np.array(
-        [[0, 1, 0, 0],
-         [1, 0, 0, 0],
-         [0, 0, 1, 0],
-         [0, 0, 0, 1]], dtype=float),
+#: Each permutation as a row gather: (P @ x)[i] = x[rows[i]] for its 0/1 matrix P.
+_PERM_ROWS = {
+    Permutation.PI124: (3, 0, 2, 1),
+    Permutation.PI142: (1, 3, 2, 0),
+    Permutation.PI12: (1, 0, 2, 3),
 }
+
+
+def _perm_matrix(label: Permutation) -> np.ndarray:
+    """The 0/1 matrix of a permutation: row i is the unit row of column rows[i]."""
+    import numpy as np
+
+    return np.eye(4)[list(_PERM_ROWS[label])]
 
 
 def _reset_matrix(eps: float) -> np.ndarray:
     """Theta(eps) as a raw array, unvalidated (see `ideal_reset`)."""
+    import numpy as np
+
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
     m[1:, 1:] = (np.array([1.0 + eps, 1.0, 1.0 - eps]) / 3.0)[:, None]
     return m
-
-
-#: Triplet reset at eps = 0: singlet row/column untouched, triplet
-#: populations replaced by their mean.
-RESET0 = _reset_matrix(0.0)
-
-#: Deviation of the thermal state from uniform populations, per unit eps.
-THERMAL_DEVIATION = np.array([0.0, 0.25, 0.0, -0.25])
-
-_ONES = np.ones(4)
 
 
 class _TransferFields(NamedTuple):
@@ -129,6 +115,8 @@ class TransferMatrix(_Checked, _TransferFields):
     __slots__ = ()
 
     def __new__(cls, m, label="", tol=COLUMN_SUM_TOL):
+        import numpy as np
+
         arr = np.array(m, dtype=float, copy=True)
         if arr.shape != (4, 4):
             raise ValueError(f"transfer matrix must be 4x4, got {arr.shape}")
@@ -155,11 +143,9 @@ class TransferMatrix(_Checked, _TransferFields):
 
 def permutation_matrix(label: Permutation) -> TransferMatrix:
     """Exact 0/1 matrix of one of the three protocol permutations."""
-    try:
-        m = _PERM_MATRICES[label]
-    except KeyError:
-        raise ValueError(f"unknown permutation label {label!r}") from None
-    return TransferMatrix(m, label=label.value)
+    if label not in _PERM_ROWS:
+        raise ValueError(f"unknown permutation label {label!r}")
+    return TransferMatrix(_perm_matrix(label), label=label.value)
 
 
 def ideal_reset(eps: float) -> TransferMatrix:
@@ -183,123 +169,163 @@ def cycle_matrix(eps: float) -> TransferMatrix:
     engine (`run_ideal`) deliberately drops.
     """
     theta = ideal_reset(eps).m
-    m = _PERM_MATRICES[Permutation.PI142] @ theta @ _PERM_MATRICES[Permutation.PI124] @ theta
+    m = _perm_matrix(Permutation.PI142) @ theta @ _perm_matrix(Permutation.PI124) @ theta
     return TransferMatrix(m, label=f"cycle(eps={eps!r})")
 
 
-#: Each permutation as a row gather: (P @ x)[i] = x[rows[i]], exactly, as P is 0/1.
-_PERM_ROWS = {label: m.argmax(axis=1) for label, m in _PERM_MATRICES.items()}
+#: Each permutation as a gather of a state's four deviations (see `_pump`).
+_GATHER = {label: itemgetter(*rows) for label, rows in _PERM_ROWS.items()}
 
 #: The pump's permutations, applied in turn: pi_124 first.
-_CYCLE = (_PERM_ROWS[Permutation.PI124], _PERM_ROWS[Permutation.PI142])
+_CYCLE = (_GATHER[Permutation.PI124], _GATHER[Permutation.PI142])
+
+#: The decay factors (a, b) of the ideal reset Theta (see `_reset`).
+IDEAL_DECAY = (0.0, -1.0)
 
 
-def _pump(n_p: int, reset: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Deviations from uniform after 0..n_p pump permutations from thermal, as one array.
+def _reset(delta: tuple, a: float | np.ndarray, b: float | np.ndarray, s: float) -> tuple:
+    """One reset interval with decay factors (a, b), on deviations from uniform.
 
-    The steps are those of the module docstring.  The pump starts at the thermal
-    deviation ``source``; each reset maps delta -> source + reset @ (delta - source),
-    so the thermal state is a fixed point of every reset.  ``reset`` is one map, or a stack
-    of shape (n, 4, 4), which pumps n intervals at once.  Each call fills a new float64
-    array of shape (n_p + 1, *reset.shape[:-2], 4), state 0 ``source`` in every batch
-    row.  The deviation is carried as a column: a reset is a matrix-vector product, a
-    permutation the exact row gather of its 0/1 matrix, taken once per call.
+    The map is I + a (Theta0 - P0) + b (I - Theta0), Theta0 and P0 the triplet reset and
+    the thermal projector at eps = 0, applied to x = delta - source, the departure from the
+    thermal deviation (0, s, 0, -s); the source is added back after.  With t the triplet
+    mean of x it reads, in components,
 
-    Each step depends only on the parity of its count, so once a state is bit-equal to
-    the state two steps back, every later state repeats with period 2, bit for bit.  The
-    loop stops at that exact 2-cycle and fills the remaining states with the last two,
-    so the output is that of the full step walk.
+        y0 = x0 + 3/4 a (x0 - t),    yi = xi - 1/4 a (x0 - t) + b (xi - t),
+
+    each operation written out in one order, so that Python floats and numpy arrays (of
+    the factors' shape) give the same bits.  The kinetic engine's factors are
+    expm1(-k_S tau) and expm1(-(k_T + k_S) tau); the ideal engine's are `IDEAL_DECAY`.
+    """
+    d0, d1, d2, d3 = delta
+    x1, x3 = d1 - s, d3 + s
+    t = (x1 + d2 + x3) / 3.0
+    c = a * (d0 - t)
+    q = 0.25 * c
+    return (d0 + 0.75 * c, s + (x1 - q + b * (x1 - t)), d2 - q + b * (d2 - t),
+            x3 - q + b * (x3 - t) - s)
+
+
+def _pump(n_p: int, a: float | np.ndarray, b: float | np.ndarray, s: float) -> list[tuple]:
+    """Deviations from uniform after 0..n_p pump permutations from thermal, one state each.
+
+    The steps are those of the module docstring.  The pump starts at the thermal deviation
+    (0, s, 0, -s), and each reset is `_reset` with decay factors (a, b), Python floats for
+    one interval or arrays for a stack of them, which pumps each element at once.  A state
+    is a tuple of four deviations, each a float or an array of the factors' shape; each
+    call returns a new list of n_p + 1 states.  A permutation is a gather of the four.
+
+    Each step depends only on the parity of its count, so once a state is bit-equal to an
+    earlier state of the same parity, every later state repeats with the period between
+    them, bit for bit.  Round-off settles the pump into such an exact cycle, mostly of
+    period 2 and sometimes 4.  The loop stops at the first repeat and fills the remaining
+    states with the cycle (the same tuples), so the output is that of the full step walk.
+    Floats compare by value, which is by bits here: no state holds a -0.0, and a nan
+    never repeats.
     """
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
-    out = np.empty((n_p + 1, *reset.shape[:-2], 4))
-    out[0] = source
-    delta = source = source[:, None]
-    steps = [(source.take(rows, axis=-2), reset.take(rows, axis=-2)) for rows in _CYCLE]
-    older, last = None, delta.tobytes()  # the bytes of the last two states
-    for k in range(n_p):
-        gathered_source, gathered_reset = steps[k % 2]
-        delta = gathered_source + gathered_reset @ (delta - source)
-        out[k + 1] = delta[..., 0]
-        key = delta.tobytes()
-        if key == older:
-            # from here on every state is the state two steps back
-            out[k + 2::2] = out[k]
-            out[k + 3::2] = out[k + 1]
+    zero = a - a  # 0.0 in the shape of the factors
+    state = (zero, zero + s, zero, zero - s)
+    try:
+        out = [state] * (n_p + 1)
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"Unable to allocate the {n_p + 1} states of the pump") from None
+    key = tuple if isinstance(zero, float) else b"".join  # arrays compare by their bytes
+    seen = ({key(state): 0}, {})  # the index of each state so far, by parity
+    for k in range(1, n_p + 1):
+        state = _CYCLE[(k - 1) % 2](_reset(state, a, b, s))
+        out[k] = state
+        j = seen[k % 2].setdefault(key(state), k)
+        if j < k:
+            # from here on every state is the state k - j steps back
+            rest = n_p - k
+            out[k + 1:] = (out[j + 1:k + 1] * (rest // (k - j) + 1))[:rest]
             break
-        older, last = last, key
     return out
 
 
-def check_simplex(deltas: np.ndarray) -> None:
-    """PopulationVector's checks on every row of a (..., 4) stack of deviations from uniform;
-    the first row to fail, in C order, raises its ValueError."""
-    d = deltas.reshape(-1, 4)
-    sums = d @ _ONES
-    # rows with every population >= 0 and a sum within tol/2 of 1 pass whatever the round-off;
-    # two whole-array reductions screen for them, as numpy reduces a length-4 axis slowly
-    if not (d.min() >= -0.25 and sums @ sums <= (POPULATION_TOL / 2) ** 2):
-        for row in 0.25 + d:
-            PopulationVector(row)
+def check_simplex(states: list[tuple]) -> None:
+    """PopulationVector's checks on every pumped state, deviations from uniform (see
+    `_pump`); the first population vector to fail, in step order and then in C order
+    over a stack, raises its ValueError."""
+    # the pump repeats a state as the same tuple, so each distinct state is checked once
+    states = list({id(d): d for d in states}.values())
+    # a state with every population >= 0 and a sum within tol/2 of 1 passes whatever the
+    # round-off, and a nan fails the sum; only the other states go to PopulationVector
+    if isinstance(states[0][0], float):
+        if all(min(d) >= -0.25 and abs(d[0] + d[1] + d[2] + d[3]) <= POPULATION_TOL / 2
+               for d in states):
+            return
+        rows = states
+    else:
+        import numpy as np
+
+        arr = np.array(states)  # axes: state, deviation, then those of the stack
+        sums = arr[:, 0] + arr[:, 1] + arr[:, 2] + arr[:, 3]
+        if arr.min() >= -0.25 and abs(sums).max() <= POPULATION_TOL / 2:
+            return
+        rows = np.moveaxis(arr, 1, -1).reshape(-1, 4)
+    for row in rows:
+        PopulationVector([0.25 + x for x in row])
 
 
 class _EngineFields(NamedTuple):
     eps: float
-    reset: Callable[[float | np.ndarray], np.ndarray]
+    decay: Callable[[float | np.ndarray], tuple]
     ts: float
 
 
 class PopulationEngine(_Checked, _EngineFields):
     """The protocol's population map at polarization eps: pump, signal readout, enhancement.
 
-    ``reset(tau)`` is the map of a reset interval of duration tau, an array of
-    durations giving their stack; ``ts`` is the singlet lifetime, which scales the
-    signal after free evolution.  Every state it returns is checked on the simplex.
-    Rejects |eps| >= 1, and 0 < |eps| < `MIN_EPS`, for both engines and every population
-    entry point.
+    ``decay(tau)`` gives the decay factors (a, b) of `_reset` for a reset interval of
+    duration tau: Python floats for one interval, arrays for an array of durations.
+    ``ts`` is the singlet lifetime, which scales the signal after free evolution.  Every
+    state it returns is checked on the simplex.  Rejects |eps| >= 1, and
+    0 < |eps| < `MIN_EPS`, for both engines and every population entry point.
     """
 
     __slots__ = ()
 
-    def __new__(cls, eps, reset, ts=math.inf):
+    def __new__(cls, eps, decay, ts=math.inf):
         if abs(eps) >= 1.0:
             raise ValueError(f"|eps| = {abs(eps)} >= 1")
         if 0.0 < abs(eps) < MIN_EPS:
             raise ValueError(f"|eps| = {abs(eps)!r} < 2**-1018: eps/16 is not a normal float")
-        return super().__new__(cls, eps, reset, ts)
+        return super().__new__(cls, eps, decay, ts)
 
-    def pump(self, n_p: int, tau: float | np.ndarray = 0.0) -> np.ndarray:
+    def pump(self, n_p: int, tau: float | np.ndarray = 0.0) -> list[tuple]:
         """`_pump` of n_p permutations from thermal, with resets of duration tau."""
-        deltas = _pump(n_p, self.reset(tau), self.eps * THERMAL_DEVIATION)
-        check_simplex(deltas)
-        return deltas
+        states = _pump(n_p, *self.decay(tau), 0.25 * self.eps)
+        check_simplex(states)
+        return states
 
-    def signal(self, deltas: np.ndarray, tau_ev: float = 0.0) -> float | np.ndarray:
-        """Signal of pumped deviations (a float for one) after evolving for tau_ev."""
-        return self.signal_of_so(_so_of_deviation(deltas), tau_ev)
+    def signal(self, delta: tuple, tau_ev: float = 0.0) -> float | np.ndarray:
+        """Signal of a pumped state (a float, or an array for a stack) after evolving for
+        tau_ev."""
+        return self.signal_of_so(_so_of_deviation(delta), tau_ev)
 
     def signal_of_so(self, so: float | np.ndarray, tau_ev: float = 0.0) -> float | np.ndarray:
         """Signal of singlet order so (elementwise on an array) after evolving for tau_ev."""
         return signal_from_singlet_order(so, self.eps) * math.exp(-tau_ev / self.ts)
 
-    def enhance(self, delta: np.ndarray, tau_prime: float = 0.0) -> tuple[np.ndarray, float]:
-        """One more reset of duration tau_prime, then pi_12: the deviation and its ZO."""
-        source = self.eps * THERMAL_DEVIATION
-        delta = source + self.reset(tau_prime) @ (delta - source)
-        delta = delta.take(_PERM_ROWS[Permutation.PI12], axis=-1)
-        check_simplex(delta)
-        return delta, float(np.dot(ZEEMAN_ORDER.eigenvalues, delta))
+    def enhance(self, delta: tuple, tau_prime: float = 0.0) -> tuple[tuple, float]:
+        """One more reset of duration tau_prime, then pi_12: the state and its ZO."""
+        delta = _GATHER[Permutation.PI12](_reset(delta, *self.decay(tau_prime), 0.25 * self.eps))
+        check_simplex([delta])
+        return delta, N_ZO * (delta[1] - delta[3])
 
-    def zeeman_ratio(self, delta: np.ndarray, tau_prime: float = 0.0) -> float:
+    def zeeman_ratio(self, delta: tuple, tau_prime: float = 0.0) -> float:
         """ZO after the enhancement stage, relative to thermal Zeeman order."""
         return self.enhance(delta, tau_prime)[1] / _zo_eq(self.eps)
 
 
 def ideal_engine(eps: float) -> PopulationEngine:
-    """The ideal engine: every reset is `RESET0`, the relaxation map in its T1 << tau << TS
+    """The ideal engine: every reset is Theta, the relaxation map in its T1 << tau << TS
     limit, whatever tau, and singlet order does not decay.  `PopulationEngine` rejects
     |eps| >= 1."""
-    return PopulationEngine(eps, lambda tau: RESET0)
+    return PopulationEngine(eps, lambda tau: IDEAL_DECAY)
 
 
 def run_ideal(n_p: int, eps: float) -> PopulationVector:
@@ -310,7 +336,7 @@ def run_ideal(n_p: int, eps: float) -> PopulationVector:
     reproduces `closed_form_so(n_p, eps)` to machine precision for every
     n_p.
     """
-    return PopulationVector(0.25 + ideal_engine(eps).pump(n_p)[-1])
+    return PopulationVector([0.25 + d for d in ideal_engine(eps).pump(n_p)[-1]])
 
 
 def closed_form_so(n_p: int, eps: float) -> float:
@@ -318,7 +344,7 @@ def closed_form_so(n_p: int, eps: float) -> float:
     if n_p < 0:
         raise ValueError(f"n_p must be >= 0, got {n_p}")
     sign = -1.0 if n_p % 2 else 1.0
-    return sign * (eps * np.sqrt(3.0) / 4.0) * (1.0 - 3.0 ** (-n_p))
+    return sign * (eps * math.sqrt(3.0) / 4.0) * (1.0 - 3.0 ** (-n_p))
 
 
 def ideal_steady_state(eps: float, n_p: int = 20) -> PopulationVector:
@@ -341,7 +367,8 @@ def enhance_zeeman(p_ss: PopulationVector, eps: float) -> PopulationVector:
     the thermal Zeeman order; intended for even-n_p states (not checked).
     First-order semantics, like `run_ideal`, and like it rejects |eps| >= 1.
     """
-    return PopulationVector(0.25 + ideal_engine(eps).enhance(p_ss.p - 0.25)[0])
+    delta = tuple(p - 0.25 for p in p_ss.p.tolist())
+    return PopulationVector([0.25 + d for d in ideal_engine(eps).enhance(delta)[0]])
 
 
 def ideal_signal(n_p: int, eps: float) -> float:
@@ -354,6 +381,8 @@ def ideal_signal(n_p: int, eps: float) -> float:
     steady state gives exactly 1, singlet order at the unitary bound gives
     2/3.
     """
+    from .core import SINGLET_ORDER
+
     so = measure_order(run_ideal(n_p, eps), SINGLET_ORDER)
     return signal_from_singlet_order(so, eps)
 
@@ -362,17 +391,16 @@ def _zo_eq(eps: float) -> float:
     """Thermal Zeeman order eps/(2 sqrt 2), the normalization of every signal and ratio."""
     if eps == 0.0:
         raise ValueError("signal normalization undefined at eps = 0")
-    return eps / (2.0 * np.sqrt(2.0))
+    return eps / (2.0 * math.sqrt(2.0))
 
 
-def _so_of_deviation(delta: np.ndarray) -> float | np.ndarray:
-    """SO of a deviation, or elementwise the SOs of a (..., 4) stack of them."""
-    d0, d1, d2, d3 = delta[..., 0], delta[..., 1], delta[..., 2], delta[..., 3]
-    so = SINGLET_ORDER.normalization * (d0 - (d1 + d2 + d3) / 3.0)
-    return so if np.ndim(so) else float(so)
+def _so_of_deviation(delta: tuple) -> float | np.ndarray:
+    """SO of a state of deviations from uniform (see `_pump`), elementwise for a stack."""
+    d0, d1, d2, d3 = delta
+    return N_SO * (d0 - (d1 + d2 + d3) / 3.0)
 
 
 def signal_from_singlet_order(so: float | np.ndarray, eps: float) -> float | np.ndarray:
     """Normalized signal sqrt(2/3)*SO/ZO_eq for polarization eps, elementwise on an array of SO."""
-    sig = np.sqrt(2.0 / 3.0) * so / _zo_eq(eps)
-    return sig if np.ndim(sig) else float(sig)
+    sig = math.sqrt(2.0 / 3.0) * so / _zo_eq(eps)
+    return sig if getattr(sig, "ndim", 0) else float(sig)

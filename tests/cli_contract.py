@@ -237,8 +237,10 @@ CASES = [
     Case("decay --np 4 --tau 20 --tau-ev-grid 0,50,100,200", 0, (), fitted(4)),
     Case("decay --np 6 --tau 28 --tau-ev-grid " + ",".join(str(40 * k) for k in range(16)),
          0, (), fitted(16)),
-    # n_p = 0 pumps nothing: a constant curve fails its fit, on stdout and in the exit code
-    Case("decay --np 0 --tau-ev-grid 0,50,100", 2, (),
+    # n_p = 0 pumps nothing: a constant curve fails its fit, on stdout, stderr and in the
+    # exit code
+    Case("decay --np 0 --tau-ev-grid 0,50,100", 2,
+         (failure("exponential fit failed (constant data)"),),
          table("tau_ev,signal", 3, re.escape("# fit: status = failed (constant data)"))),
     Case("enhance --mode ideal --np 2", 0, (), enhanced(25 / 18, 1e-15)),
     Case("enhance --mode kinetic --np 2", 0, (), enhanced(1.2503684885290405, 1e-9)),

@@ -26,6 +26,9 @@ from singletcool.cli import (
 )
 
 COMMANDS = ["pump", "sweep-tau", "decay", "enhance", "coherent-check"]
+#: The contract's successful ideal-mode runs, which run on Python floats alone.
+IDEAL_CASES = [case for case in CASES
+               if case.code == EXIT_OK and re.match(r"(pump|enhance) --mode ideal ", case.argv)]
 
 
 def run_cli(tmp_path, name, *args):
@@ -103,12 +106,11 @@ class TestPumpCommand:
             tmp_path, monkeypatch, "pump", "--mode", "ideal", "--np", "200")
         assert calls == 1
         eps = singletcool.epsilon(singletcool.SpinSystemParams())
-        source = eps * protocol.THERMAL_DEVIATION
         rows = data_rows(lines)
         assert len(rows) == 201
         for k, row in enumerate(rows):
             # each row equals the deviation readout of its own pump, bit for bit
-            delta = protocol._pump(k, protocol.RESET0, source)[-1]
+            delta = protocol._pump(k, *protocol.IDEAL_DECAY, 0.25 * eps)[-1]
             sig = singletcool.signal_from_singlet_order(protocol._so_of_deviation(delta), eps)
             so = sig * eps * np.sqrt(3.0) / 4.0
             cf = singletcool.closed_form_so(k, eps)
@@ -126,11 +128,11 @@ class TestPumpCommand:
         # eps ~ 0.7: the first-order rows leave the simplex part way through the pump
         with pytest.warns(UserWarning, match="outside the high-temperature regime"):
             eps = singletcool.epsilon(singletcool.SpinSystemParams(temperature=0.012))
-        deltas = protocol._pump(30, protocol.RESET0, eps * protocol.THERMAL_DEVIATION)
+        deltas = protocol._pump(30, *protocol.IDEAL_DECAY, 0.25 * eps)
         messages = []
         for delta in deltas:
             try:
-                singletcool.PopulationVector(0.25 + delta)
+                singletcool.PopulationVector([0.25 + d for d in delta])
             except ValueError as exc:
                 messages.append(str(exc))
         assert len(set(messages)) > 1  # the rows off the simplex fail differently
@@ -458,6 +460,42 @@ class TestEngineBoundary:
 
 
 class TestImportFootprint:
+    def test_ideal_runs_import_no_numpy(self):
+        probe = (
+            "import contextlib, io, sys, singletcool\n"
+            "print('numpy' in sys.modules)\n"
+            "from singletcool.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
+        )
+        proc = run_python("-c", probe, *[case.argv for case in IDEAL_CASES])
+        assert len(IDEAL_CASES) == 4
+        want = (0, "False\n[0, 0, 0, 0] False\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    @pytest.mark.parametrize("case", IDEAL_CASES, ids=[case.argv for case in IDEAL_CASES])
+    def test_ideal_runs_are_the_same_with_numpy_unimportable(self, case):
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "from singletcool.cli import main; sys.exit(main(sys.argv[1:]))")
+        blocked = run_python("-c", code, *case.argv.split())
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == run_as_process(case.argv)
+
+    def test_every_public_name_resolves(self):
+        # kinetics and the observables are imported on first access, a star import included
+        probe = (
+            "import singletcool\n"
+            "run = singletcool.run_kinetic\n"
+            "names = {}\n"
+            "exec('from singletcool import *', names)\n"
+            "eig = singletcool.core.SINGLET_ORDER.eigenvalues\n"
+            "same = run is singletcool.kinetics.run_kinetic is names['run_kinetic']\n"
+            "print(sorted(set(singletcool.__all__) - set(names)), type(eig).__name__,\n"
+            "      eig.flags.writeable, same)\n"
+        )
+        proc = run_python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] ndarray False True\n", "")
+
     def test_cli_imports_coherent_on_demand(self):
         probe = "import sys, singletcool.cli; print('singletcool.coherent' in sys.modules)"
         proc = run_python("-c", probe)
@@ -482,7 +520,7 @@ class TestImportFootprint:
         # the value types are NamedTuples: a frozen dataclass builds its methods with
         # exec at every interpreter start
         probe = (
-            "import dataclasses, singletcool.cli, sys\n"
+            "import dataclasses, singletcool.cli, singletcool.kinetics, sys\n"
             "for name in ('core', 'protocol', 'kinetics', 'cli'):\n"
             "    module = sys.modules['singletcool.' + name]\n"
             "    for value in vars(module).values():\n"

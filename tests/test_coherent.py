@@ -344,11 +344,12 @@ class TestPropagate:
         assert errors[1] / errors[2] > 3.0
 
     def test_rejects_non_hermitian(self):
-        bad = np.array([[0, 1], [0, 0]])
-        h = np.zeros((4, 4), dtype=complex)
-        h[:2, :2] = bad
-        with pytest.raises(ValueError):
-            propagate(lambda t: h, (0.0, 1.0), 4)
+        # an entry of 1e200 squares past the largest double in the norms of the check
+        for entry in (1.0, 1e200):
+            h = np.zeros((4, 4), dtype=complex)
+            h[0, 1] = entry
+            with pytest.raises(ValueError, match="non-Hermitian"):
+                propagate(lambda t: h, (0.0, 1.0), 4)
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):

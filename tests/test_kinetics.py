@@ -31,8 +31,8 @@ from singletcool import (
     unitary_max_order,
     zeeman_enhancement_ratio,
 )
-from singletcool.kinetics import _relaxation_map
-from singletcool.protocol import THERMAL_DEVIATION, _pump, _reset_matrix
+from singletcool.kinetics import _decay_factors, _relaxation_map
+from singletcool.protocol import _pump, _reset_matrix
 
 # engine regression values at the reference parameters
 # (T1 = 7.36 s, TS = 214 s, tau = 28 s, tau' = 18 s, n_p = 6)
@@ -320,9 +320,9 @@ class TestRunKinetic:
         # (e^{-k_S tau}, e^{-(k_T+k_S) tau}) = (1, 0) turns the relaxation
         # map into the ideal reset, and the kinetic pump into the ideal one
         eps = epsilon(default_params)
-        ideal_limit = kinetics._relaxation_map(1e3, 0.0, 0.0, 1.0)
+        ideal_limit = _decay_factors(1e3, 0.0, 1.0)
         for n in (0, 1, 2, 5, 8):
-            pumped = 0.25 + _pump(n, ideal_limit, eps * THERMAL_DEVIATION)[-1]
+            pumped = 0.25 + np.array(_pump(n, *ideal_limit, 0.25 * eps)[-1])
             np.testing.assert_allclose(pumped, run_ideal(n, eps).p, atol=1e-16)
 
     def test_reference_signal_frozen(self, default_params):
@@ -422,7 +422,7 @@ class TestRunKinetic:
         params = SpinSystemParams(t1=t1, ts=t1 * ratio, gamma=gamma_sign * GAMMA_13C)
         tau, tau_prime = tau_over_t1 * t1, tau_prime_over_t1 * t1
         res = run_kinetic(n_p, tau, 0.0, params, enhance=True, tau_prime=tau_prime)
-        want = res.zo_final / (epsilon(params) / (2.0 * np.sqrt(2.0)))
+        want = res.zo_final / (epsilon(params) / (2.0 * math.sqrt(2.0)))
         got = zeeman_enhancement_ratio(n_p, tau, tau_prime, params)
         assert type(got) is type(want) and repr(got) == repr(want)
 
@@ -555,8 +555,8 @@ class TestSweepTau:
         params = SpinSystemParams(temperature=0.0085)
         eps = epsilon(params)
         rate = calibrate_rates(params.t1, params.ts, eps)
-        deltas = _pump(6, _relaxation_map(rate.k_t, rate.k_s, 0.0, 100.0), eps * THERMAL_DEVIATION)
-        PopulationVector(0.25 + deltas[-1])
+        deltas = _pump(6, *_decay_factors(rate.k_t, rate.k_s, 100.0), 0.25 * eps)
+        PopulationVector(0.25 + np.array(deltas[-1]))
         for run in (lambda: run_kinetic(6, 100.0, 0.0, params),
                     lambda: decay_curve(6, 100.0, [0.0, 10.0, 20.0], params),
                     lambda: zeeman_enhancement_ratio(6, 100.0, 18.0, params),
@@ -667,7 +667,7 @@ class TestDecayCurve:
 
 
 def _so_reference(d):
-    """SO of one deviation, read one numpy scalar at a time."""
+    """SO of one state of deviations, read one scalar at a time."""
     return float(SINGLET_ORDER.normalization * (d[0] - (d[1] + d[2] + d[3]) / 3.0))
 
 
@@ -710,17 +710,16 @@ class TestArrayReadout:
         grid = [0.0, *sorted(inner), math.inf]
         eps = epsilon(params)
         rate = calibrate_rates(params.t1, params.ts, eps)
-        source = eps * THERMAL_DEVIATION
 
-        deltas = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, tau), source)
+        deltas = _pump(n_p, *_decay_factors(rate.k_t, rate.k_s, tau), 0.25 * eps)
         trace = tuple((k, _so_reference(d)) for k, d in enumerate(deltas))
         _same(run_kinetic(n_p, tau, 0.0, params).so_trace, trace)
         _same(protocol._so_of_deviation(deltas[-1]), trace[-1][1])
         so = trace[-1][1]
         _same(signal_from_singlet_order(so, eps), _signal_reference(so, eps, 0.0, params.ts))
 
-        stack = _pump(n_p, _relaxation_map(rate.k_t, rate.k_s, 0.0, np.array(grid)), source)
-        pumped = np.broadcast_to(stack[-1], (len(grid), 4))
+        stack = _pump(n_p, *_decay_factors(rate.k_t, rate.k_s, np.array(grid)), 0.25 * eps)
+        pumped = np.stack(stack[-1], axis=-1)
         points = tuple(
             (tau_k, _signal_reference(_so_reference(d), eps, 0.0, params.ts))
             for tau_k, d in zip(grid, pumped)

@@ -33,14 +33,32 @@ from singletcool import (
     unitary_max_order,
     zeeman_enhancement_ratio,
 )
-from singletcool.kinetics import _relaxation_map
-from singletcool.protocol import RESET0, THERMAL_DEVIATION, _pump, check_simplex, ideal_engine
+from singletcool.kinetics import _decay_factors, _map_parts
+from singletcool.protocol import IDEAL_DECAY, _pump, check_simplex, ideal_engine
 
 from conftest import random_populations
 
 PI124_EXPECTED = np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float)
 PI142_EXPECTED = np.array([[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0]], dtype=float)
 PI12_EXPECTED = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
+#: The triplet reset at eps = 0, and the thermal deviation from uniform per unit eps.
+RESET0 = ideal_reset(0.0).m
+THERMAL_DEVIATION = np.array([0.0, 0.25, 0.0, -0.25])
+
+
+def _factors(tau):
+    """Decay factors of the relaxation maps of one system (k_T = 0.13, k_S = 0.0047 per s)."""
+    return _decay_factors(0.13, 0.0047, tau)
+
+
+def _rows(states):
+    """Each pumped state, four floats or four arrays, as one array of shape (..., 4)."""
+    return [np.moveaxis(np.array(d), 0, -1) for d in states]
+
+
+def _states(deltas):
+    """The rows of an array of deviations, shape (n, ..., 4), as the states of a pump."""
+    return [tuple(np.moveaxis(d, -1, 0)) for d in deltas]
 
 
 class TestPermutationMatrices:
@@ -171,109 +189,119 @@ class TestPumpLoop:
         ]
 
     @staticmethod
-    def _walk(n_p, reset, source):
-        """The pump as a literal step walk: reset, then pi124 and pi142 in turn.
+    def _walk(n_p, a, b, s):
+        """The pump as a literal step walk: the reset of decay factors (a, b) written out in
+        components, then pi124 and pi142 in turn.
 
-        State 0 is the source broadcast to the batch shape of ``reset``, as in `_pump`."""
-        delta = src = source[:, None]
-        out = [np.broadcast_to(source, (*reset.shape[:-2], 4))]
+        State 0 is the source broadcast to the shape of the factors, as in `_pump`."""
+        src = np.array([0.0, s, 0.0, -s])
+        a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+        delta = np.broadcast_to(src, (*a.shape[:-1], 4))
+        out = [delta]
         for k in range(n_p):
-            delta = src + reset @ (delta - src)
-            delta = (PI142_EXPECTED if k % 2 else PI124_EXPECTED) @ delta
-            out.append(delta[..., 0])
+            x = delta - src
+            t = (x[..., 1:2] + x[..., 2:3] + x[..., 3:4]) / 3.0
+            c = a * (x[..., 0:1] - t)
+            y = np.concatenate(
+                [x[..., 0:1] + 0.75 * c, x[..., 1:] - 0.25 * c + b * (x[..., 1:] - t)], axis=-1)
+            delta = (y + src) @ (PI142_EXPECTED if k % 2 else PI124_EXPECTED).T
+            out.append(delta)
         return out
+
+    @staticmethod
+    def _first_repeat(walk):
+        """(j, k): the first state k of a walk bit-equal to an earlier state j of its parity,
+        or None."""
+        seen = ({}, {})
+        for k, state in enumerate(walk):
+            j = seen[k % 2].setdefault(state.tobytes(), k)
+            if j < k:
+                return j, k
+        return None
 
     @staticmethod
     def _assert_same_states(got, want):
         assert len(got) == len(want)
-        for g, w in zip(got, want):
+        for g, w in zip(_rows(got), want):
             # bytes, not values: a signed zero or a NaN must match too
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize(
-        "reset",
+        "factors",
         [
-            RESET0,
-            _relaxation_map(0.13, 0.0047, 0.0, 28.0),
-            _relaxation_map(0.13, 0.0047, 0.0, np.array([0.0, 0.5, 5.0, 28.0, 600.0])),
-            _relaxation_map(0.13, 0.0047, 0.0, 0.0),
-            _relaxation_map(0.13, 0.0047, 0.0, 0.01),
+            IDEAL_DECAY,
+            _factors(28.0),
+            _factors(np.array([0.0, 0.5, 5.0, 28.0, 600.0])),
+            _factors(0.0),
+            _factors(0.01),
         ],
         ids=["ideal", "one map", "stack of 5", "identity", "short tau"],
     )
-    def test_equals_literal_step_walk(self, reset):
-        source = 1e-4 * THERMAL_DEVIATION
+    def test_equals_literal_step_walk(self, factors):
         for n_p in (0, 1, 2, 40, 41, 300, 301):
-            got, want = _pump(n_p, reset, source), self._walk(n_p, reset, source)
+            got, want = _pump(n_p, *factors, 2.5e-5), self._walk(n_p, *factors, 2.5e-5)
             assert len(got) == n_p + 1
             self._assert_same_states(got, want)
 
     @pytest.mark.parametrize(
-        "reset, repeats",
-        [
-            (_relaxation_map(0.13, 0.0047, 0.0, 0.0), True),
-            (RESET0, True),
-            (_relaxation_map(0.13, 0.0047, 0.0, 0.01), False),
-        ],
-        ids=["identity", "ideal", "short tau"],
+        "factors, period",
+        [(_factors(0.0), 2), (IDEAL_DECAY, 2), (_factors(59.0), 4), (_factors(0.01), None)],
+        ids=["identity", "ideal", "period 4", "short tau"],
     )
-    def test_stops_at_the_first_exact_two_cycle(self, reset, repeats):
+    def test_stops_at_the_first_exact_cycle(self, factors, period):
         steps = []
 
-        class Counted(np.ndarray):
-            def __matmul__(self, other):
+        class Counted(float):
+            def __mul__(self, other):
                 steps.append(None)
-                return np.asarray(self) @ other
+                return float(self) * other
 
-        source = 1e-4 * THERMAL_DEVIATION
-        walk = self._walk(301, reset, source)
-        first = next(
-            (k for k in range(2, 302) if walk[k].tobytes() == walk[k - 2].tobytes()), None
-        )
-        assert (first is not None) == repeats
-        _pump(301, reset.view(Counted), source)
-        # one reset product per step, up to the first state that repeats
-        assert len(steps) == (301 if first is None else first)
+        walk = self._walk(301, *factors, 2.5e-5)
+        repeat = self._first_repeat(walk)
+        assert (repeat and repeat[1] - repeat[0]) == period
+        a, b = factors
+        _pump(301, Counted(a), b, 2.5e-5)
+        # one reset, with one product by a, per step, up to the first state that repeats
+        assert len(steps) == (301 if repeat is None else repeat[1])
 
     @pytest.mark.parametrize(
-        "reset",
-        [RESET0, _relaxation_map(0.13, 0.0047, 0.0, 28.0),
-         _relaxation_map(0.13, 0.0047, 0.0, np.array([0.0, 0.5, 5.0, 28.0, 600.0]))],
+        "factors",
+        [IDEAL_DECAY, _factors(28.0), _factors(np.array([0.0, 0.5, 5.0, 28.0, 600.0]))],
         ids=["ideal", "one map", "stack of 5"],
     )
     @pytest.mark.parametrize("n_p", [0, 1, 7, 300])
-    def test_returns_one_new_float64_array(self, reset, n_p):
-        source = 1e-4 * THERMAL_DEVIATION
-        got = _pump(n_p, reset, source)
-        assert isinstance(got, np.ndarray) and got.dtype == np.float64
-        assert got.shape == (n_p + 1, *reset.shape[:-2], 4)
-        want = got.copy()
-        got[...] = np.nan  # writing into one result leaves the next call unchanged
-        again = _pump(n_p, reset, source)
-        assert again.tobytes() == want.tobytes()
-        assert not np.shares_memory(again, got)
+    def test_returns_a_new_list_of_states(self, factors, n_p):
+        got = _pump(n_p, *factors, 2.5e-5)
+        assert isinstance(got, list) and len(got) == n_p + 1
+        for state in got:
+            assert isinstance(state, tuple) and len(state) == 4
+            for x in state:
+                assert (type(x) is float if np.ndim(factors[0]) == 0
+                        else x.dtype == np.float64 and x.shape == np.shape(factors[0]))
+        want = _rows(got)
+        got[:] = [None] * len(got)  # writing into one result leaves the next call unchanged
+        again = _pump(n_p, *factors, 2.5e-5)
+        assert [r.tobytes() for r in _rows(again)] == [r.tobytes() for r in want]
 
     @pytest.mark.parametrize(
-        "reset",
-        [RESET0, _relaxation_map(0.13, 0.0047, 0.0, 28.0),
-         _relaxation_map(0.13, 0.0047, 0.0, 0.0), _relaxation_map(0.13, 0.0047, 0.0, np.inf)],
-        ids=["ideal", "one map", "identity", "infinite tau"],
+        "factors",
+        [IDEAL_DECAY, _factors(28.0), _factors(0.0), _factors(np.inf), _factors(59.0),
+         _factors(np.array([28.0, 59.0]))],
+        ids=["ideal", "one map", "identity", "infinite tau", "period 4", "stack of 2"],
     )
-    def test_two_cycle_fill_equals_literal_step_walk(self, reset):
-        source = 1e-4 * THERMAL_DEVIATION
-        walk = self._walk(100, reset, source)
-        first = next(k for k in range(2, 101) if walk[k].tobytes() == walk[k - 2].tobytes())
-        # no, one or two states past the first repeat, whatever its parity
-        for n_p in (first, first + 1, first + 2, first + 3):
-            self._assert_same_states(_pump(n_p, reset, source), walk[: n_p + 1])
+    def test_cycle_fill_equals_literal_step_walk(self, factors):
+        walk = self._walk(100, *factors, 2.5e-5)
+        j, k = self._first_repeat(walk)
+        # zero to a period and more states past the first repeat, whatever its parity
+        for n_p in range(k, 2 * k - j + 2):
+            self._assert_same_states(_pump(n_p, *factors, 2.5e-5), walk[: n_p + 1])
 
     @pytest.mark.parametrize("taus", [0.0, np.array([28.0]), np.array([0.0, 28.0, np.inf])],
                              ids=["one map", "stack of 1", "stack of 3"])
     def test_no_permutation_is_the_source_broadcast_to_the_batch(self, taus):
-        reset = _relaxation_map(0.13, 0.0047, 0.0, taus)
-        source = -3e-5 * THERMAL_DEVIATION
-        got = _pump(0, reset, source)
-        want = np.broadcast_to(source, (1, *np.shape(taus), 4))
+        s = -7.5e-6
+        (got,) = _rows(_pump(0, *_factors(taus), s))
+        want = np.broadcast_to(np.array([0.0, s, 0.0, -s]), (*np.shape(taus), 4))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(derandomize=True, max_examples=80, deadline=None)
@@ -292,9 +320,9 @@ class TestPumpLoop:
         self, t1, ratio, eps_sign, eps_exponent, n_p, tau_over_t1
     ):
         ts = t1 * ratio
-        reset = _relaxation_map(1.0 / t1 - 1.0 / ts, 1.0 / ts, 0.0, tau_over_t1 * t1)
-        source = eps_sign * 10.0 ** eps_exponent * THERMAL_DEVIATION
-        self._assert_same_states(_pump(n_p, reset, source), self._walk(n_p, reset, source))
+        factors = _decay_factors(1.0 / t1 - 1.0 / ts, 1.0 / ts, tau_over_t1 * t1)
+        s = eps_sign * 10.0 ** eps_exponent / 4.0
+        self._assert_same_states(_pump(n_p, *factors, s), self._walk(n_p, *factors, s))
 
     @pytest.mark.parametrize(
         "run",
@@ -317,9 +345,10 @@ class TestCheckSimplex:
 
     def test_rows_on_the_simplex_pass(self, rng):
         rows = random_populations(rng, 50)
-        check_simplex(rows.reshape(5, 10, 4) - 0.25)
+        check_simplex(_states(rows.reshape(5, 10, 4) - 0.25))
         rows[7] = [0.5, 0.5, -1e-13, 1e-13]  # fails the screen, within PopulationVector's tolerance
-        check_simplex(rows - 0.25)
+        check_simplex(_states(rows - 0.25))
+        check_simplex(_states(rows.reshape(5, 10, 4) - 0.25))
 
     @pytest.mark.parametrize("shape", [(12, 4), (3, 4, 4)])
     def test_the_first_row_off_the_simplex_raises_its_own_error(self, rng, shape):
@@ -331,7 +360,7 @@ class TestCheckSimplex:
             with pytest.raises(ValueError) as want:
                 PopulationVector(rows[first])
             with pytest.raises(ValueError) as got:
-                check_simplex(rows.reshape(shape) - 0.25)
+                check_simplex(_states(rows.reshape(shape) - 0.25))
             assert str(got.value) == str(want.value)
             rows[5] = rows[0]
 
@@ -339,8 +368,9 @@ class TestCheckSimplex:
     def test_non_finite_rows_raise(self, rng, bad):
         rows = random_populations(rng, 4)
         rows[2, 1] = bad
-        with pytest.raises(ValueError):
-            check_simplex(rows - 0.25)
+        for shape in [(4, 4), (2, 2, 4)]:  # four states, or two of a stack of two
+            with pytest.raises(ValueError):
+                check_simplex(_states(rows.reshape(shape) - 0.25))
 
 
 class TestRunIdeal:
@@ -474,9 +504,10 @@ class TestEpsFloor:
         # decaying transients, ~eps 3^-n, reach subnormals at the floor, an ulp or so
         low, high = ideal_engine(sign * protocol.MIN_EPS), ideal_engine(sign * 2.0**-20)
         deltas_low, deltas_high = low.pump(40), high.pump(40)
-        scaled = deltas_low * 2.0**998
+        scaled = np.array(deltas_low) * 2.0**998
         assert np.max(np.abs(scaled - deltas_high)) <= 1e-15 * np.max(np.abs(deltas_high))
-        assert np.max(np.abs(low.signal(deltas_low) - high.signal(deltas_high))) <= 4e-16
+        for d_low, d_high in zip(deltas_low, deltas_high):
+            assert abs(low.signal(d_low) - high.signal(d_high)) <= 4e-16
         assert abs(low.zeeman_ratio(deltas_low[-1]) - high.zeeman_ratio(deltas_high[-1])) <= 4e-16
 
     @pytest.mark.parametrize("eps", [np.nextafter(2.0**-1018, 0.0), -1e-310, 5e-324])
@@ -542,5 +573,9 @@ class TestDetectionModel:
         with pytest.raises(ValueError):
             signal_from_singlet_order(0.1, 0.0)
 
-    def test_reset0_matches_ideal_reset_at_zero(self):
-        np.testing.assert_allclose(RESET0, ideal_reset(0.0).m, atol=0)
+    def test_ideal_decay_factors_give_the_ideal_reset(self):
+        # (a, b) = (0, -1) is the (1, 0) limit of the decay factors: I - (I - Theta) = Theta
+        eye, d_so, d_t = _map_parts(0.0)
+        a, b = IDEAL_DECAY
+        np.testing.assert_allclose(eye + a * d_so + b * d_t, ideal_reset(0.0).m,
+                                   rtol=0, atol=1e-16)
