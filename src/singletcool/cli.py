@@ -45,10 +45,6 @@ class ConfigError(Exception):
     pass
 
 
-class FailedRows(Exception):
-    """A computation failure, with args (message, lines), whose rows are still written."""
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -232,7 +228,7 @@ def _engine(config: RunConfig, params: SpinSystemParams, eps: float) -> protocol
     return kinetics.kinetic_engine(params)
 
 
-def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
+def cmd_pump(config: RunConfig) -> tuple[list[str], Optional[str]]:
     """One row per permutation count from 0 to np."""
     params, eps = _population_params(config)
     engine = _engine(config, params, eps)
@@ -244,10 +240,10 @@ def cmd_pump(config: RunConfig) -> tuple[list[str], int]:
         so = sig * eps * math.sqrt(3.0) / 4.0  # detected SO behind the signal
         closed = f",{_fmt(protocol.closed_form_so(k, eps))}" if ideal else ""
         lines.append(f"{k},{_fmt(so)},{_fmt(sig)}{closed}")
-    return lines, EXIT_OK
+    return lines, None
 
 
-def cmd_sweep_tau(config: RunConfig) -> tuple[list[str], int]:
+def cmd_sweep_tau(config: RunConfig) -> tuple[list[str], Optional[str]]:
     if config.tau_grid is None:
         raise ConfigError("sweep-tau requires --tau-grid")
     if config.mode != "kinetic":
@@ -259,10 +255,10 @@ def cmd_sweep_tau(config: RunConfig) -> tuple[list[str], int]:
     lines += [f"{_fmt(tau)},{_fmt(sig)}" for tau, sig in sweep.points]
     lines.append(f"# optimum: tau_star = {_fmt(sweep.tau_star)}, "
                  f"signal_star = {_fmt(sweep.signal_star)}")
-    return lines, EXIT_OK
+    return lines, None
 
 
-def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
+def cmd_decay(config: RunConfig) -> tuple[list[str], Optional[str]]:
     if config.tau_ev_grid is None:
         raise ConfigError("decay requires --tau-ev-grid")
     if len(config.tau_ev_grid) < 3:
@@ -282,17 +278,17 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], int]:
             f"time_constant = {_fmt(fit.time_constant)}, "
             f"relative_deviation_from_ts = {_fmt(rel)}, status = ok"
         )
-        return lines, EXIT_OK
+        return lines, None
     lines.append(f"# fit: status = failed ({fit.message})")
-    raise FailedRows(f"exponential fit failed ({fit.message})", lines)
+    return lines, f"exponential fit failed ({fit.message})"
 
 
-def cmd_enhance(config: RunConfig) -> tuple[list[str], int]:
+def cmd_enhance(config: RunConfig) -> tuple[list[str], Optional[str]]:
     if config.n_p % 2:
         raise ConfigError("enhance is defined for even permutation counts")
     engine = _engine(config, *_population_params(config))
     ratio = engine.zeeman_ratio(engine.pump(config.n_p, config.tau)[-1], config.tau_prime)
-    return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], EXIT_OK
+    return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], None
 
 
 #: Largest step error of a reported fidelity that passes without a warning.
@@ -313,7 +309,7 @@ def _fidelity_step_error(
     return abs(fidelity - other) / abs((n_steps / m) ** 2 - 1.0)
 
 
-def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
+def cmd_coherent_check(config: RunConfig) -> tuple[list[str], Optional[str]]:
     import numpy as np
 
     from . import coherent  # imported on demand: no other command needs it
@@ -339,9 +335,11 @@ def cmd_coherent_check(config: RunConfig) -> tuple[list[str], int]:
             coherent.composite_pulse_propagator(+1, float(scale)), +1
         )
         lines.append(f"composite_overlap,{_fmt(scale)},{_fmt(overlap)}")
-    return lines, EXIT_OK
+    return lines, None
 
 
+#: Each command and its help.  A command returns its CSV lines and the message of a failure
+#: whose rows are still written, or None.
 _COMMANDS = {
     "pump": (cmd_pump, "singlet-order build-up versus permutation count"),
     "sweep-tau": (cmd_sweep_tau, "signal versus triplet-reset duration"),
@@ -373,16 +371,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    failure = None
     try:
         args = _build_parser().parse_args(argv)
         config = build_config(args)
-        lines, code = _COMMANDS[args.command][0](config)
+        lines, error = _COMMANDS[args.command][0](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FailedRows as exc:  # the rows, then the error
-        (failure, lines), code = exc.args, EXIT_COMPUTE
     except (ValueError, MemoryError) as exc:  # domain, self-checks, an unallocatable pump
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -391,9 +386,10 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except OSError as exc:
         print(f"i/o error writing {config.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO
-    if failure is not None:
-        print(f"computation failed: {failure}", file=sys.stderr)
-    return code
+    if error is not None:  # a failure whose rows are still written, as decay's failed fit
+        print(f"computation failed: {error}", file=sys.stderr)
+        return EXIT_COMPUTE
+    return EXIT_OK
 
 
 def entry_point() -> None:

@@ -218,8 +218,9 @@ def _pump(n_p: int, a: float | np.ndarray, b: float | np.ndarray, s: float) -> l
     Each step depends only on the parity of its count, so once a state is bit-equal to an
     earlier state of the same parity, every later state repeats with the period between
     them, bit for bit.  Round-off settles the pump into such an exact cycle, mostly of
-    period 2 and sometimes 4.  The loop stops at the first repeat and fills the remaining
-    states with the cycle (the same tuples), so the output is that of the full step walk.
+    period 2, sometimes 4 and rarely longer.  The loop stops at the first repeat, found by a
+    hash of each state, and fills the remaining states with the cycle (the same tuples), so
+    the output is that of the full step walk.
     Floats compare by value, which is by bits here: no state holds a -0.0, and a nan
     never repeats.
     """
@@ -231,16 +232,21 @@ def _pump(n_p: int, a: float | np.ndarray, b: float | np.ndarray, s: float) -> l
         out = [state] * (n_p + 1)
     except (MemoryError, OverflowError):
         raise MemoryError(f"Unable to allocate the {n_p + 1} states of the pump") from None
-    key = tuple if isinstance(zero, float) else b"".join  # arrays compare by their bytes
-    seen = ({key(state): 0}, {})  # the index of each state so far, by parity
+    bits = tuple if isinstance(zero, float) else b"".join  # arrays compare by their bytes
+    # a tuple of floats is its own key; a stack's key is the hash of its bytes
+    key = bits if isinstance(zero, float) else lambda d: hash(b"".join(d))
+    seen = ({key(state): 0}, {})  # the first index of each key, by parity
     for k in range(1, n_p + 1):
         state = _CYCLE[(k - 1) % 2](_reset(state, a, b, s))
         out[k] = state
         j = seen[k % 2].setdefault(key(state), k)
-        if j < k:
-            # from here on every state is the state k - j steps back
-            rest = n_p - k
-            out[k + 1:] = (out[j + 1:k + 1] * (rest // (k - j) + 1))[:rest]
+        if j < k and bits(out[j]) == bits(state):  # else two hashes collided: no stop yet
+            # from here on every state is the state k - j steps back: copy the cycle forward,
+            # twice as many states each time, as the stride k - j stays a multiple of the period
+            while k < n_p:
+                m = min(k - j, n_p - k)
+                out[k + 1:k + 1 + m] = out[j + 1:j + 1 + m]
+                k += m
             break
     return out
 
@@ -249,25 +255,29 @@ def check_simplex(states: list[tuple]) -> None:
     """PopulationVector's checks on every pumped state, deviations from uniform (see
     `_pump`); the first population vector to fail, in step order and then in C order
     over a stack, raises its ValueError."""
-    # the pump repeats a state as the same tuple, so each distinct state is checked once
-    states = list({id(d): d for d in states}.values())
+    # the pump fills its tail with a cycle's states, the same tuples again, so a state that
+    # is the state a period back passes with it: only the states before that tail are checked
+    end = len(states)
+    period = next((p for p in range(1, end) if states[-1 - p] is states[-1]), end)
+    while end > period and states[end - 1] is states[end - 1 - period]:
+        end -= 1
     # a state with every population >= 0 and a sum within tol/2 of 1 passes whatever the
-    # round-off, and a nan fails the sum; only the other states go to PopulationVector
-    if isinstance(states[0][0], float):
-        if all(min(d) >= -0.25 and abs(d[0] + d[1] + d[2] + d[3]) <= POPULATION_TOL / 2
-               for d in states):
-            return
-        rows = states
-    else:
-        import numpy as np
+    # round-off, and a nan fails the sum; only the other states go to PopulationVector.
+    # The states are screened 64 at a time, which bounds the memory of a stack's screen.
+    for i in range(0, end, 64):
+        block = states[i:min(i + 64, end)]
+        if isinstance(block[0][0], float):
+            rows = [d for d in block
+                    if not (min(d) >= -0.25 and abs(sum(d)) <= POPULATION_TOL / 2)]
+        else:
+            import numpy as np
 
-        arr = np.array(states)  # axes: state, deviation, then those of the stack
-        sums = arr[:, 0] + arr[:, 1] + arr[:, 2] + arr[:, 3]
-        if arr.min() >= -0.25 and abs(sums).max() <= POPULATION_TOL / 2:
-            return
-        rows = np.moveaxis(arr, 1, -1).reshape(-1, 4)
-    for row in rows:
-        PopulationVector([0.25 + x for x in row])
+            arr = np.array(block)  # axes: state, deviation, then those of the stack
+            sums = arr[:, 0] + arr[:, 1] + arr[:, 2] + arr[:, 3]
+            ok = arr.min() >= -0.25 and abs(sums).max() <= POPULATION_TOL / 2
+            rows = [] if ok else np.moveaxis(arr, 1, -1).reshape(-1, 4)
+        for row in rows:
+            PopulationVector([0.25 + x for x in row])
 
 
 class _EngineFields(NamedTuple):

@@ -31,7 +31,7 @@ from singletcool import (
     thermal_populations,
     unitary_max_order,
 )
-from singletcool.cli import EXIT_OK, RunConfig, cmd_enhance
+from singletcool.cli import RunConfig, cmd_enhance
 from singletcool.coherent import (
     PulseShape,
     ab_spectrum,
@@ -80,16 +80,16 @@ def test_criterion_02_steady_state_factor():
 
 def test_criterion_03_zeeman_enhancement():
     ideal_cfg = RunConfig(mode="ideal", n_p=40)
-    lines, code = cmd_enhance(ideal_cfg)
+    lines, error = cmd_enhance(ideal_cfg)
     ideal_ratio = float(lines[1].split(",")[0])
 
     kinetic_cfg = RunConfig(mode="kinetic", n_p=6, tau=28.0, tau_prime=18.0)
-    lines, code_k = cmd_enhance(kinetic_cfg)
+    lines, error_k = cmd_enhance(kinetic_cfg)
     kinetic_ratio = float(lines[1].split(",")[0])
 
     ok = (
-        code == EXIT_OK
-        and code_k == EXIT_OK
+        error is None
+        and error_k is None
         and abs(ideal_ratio - 1.5) <= 1.5 * 1e-9
         and 1.21 <= kinetic_ratio <= 1.5
         and abs(kinetic_ratio - KINETIC_ENHANCEMENT_FROZEN) <= 1e-9 * KINETIC_ENHANCEMENT_FROZEN

@@ -243,6 +243,14 @@ class TestPumpLoop:
             assert len(got) == n_p + 1
             self._assert_same_states(got, want)
 
+    def test_a_hash_collision_is_not_taken_for_a_cycle(self, monkeypatch):
+        # every stack state hashes alike, so only bit-equal states may stop the pump
+        monkeypatch.setattr(protocol, "hash", lambda key: 0, raising=False)
+        factors = _factors(np.array([0.0, 0.5, 5.0, 28.0, 600.0]))
+        for n_p in (2, 40, 301):
+            got, want = _pump(n_p, *factors, 2.5e-5), self._walk(n_p, *factors, 2.5e-5)
+            self._assert_same_states(got, want)
+
     @pytest.mark.parametrize(
         "factors, period",
         [(_factors(0.0), 2), (IDEAL_DECAY, 2), (_factors(59.0), 4), (_factors(0.01), None)],
@@ -363,6 +371,19 @@ class TestCheckSimplex:
                 check_simplex(_states(rows.reshape(shape) - 0.25))
             assert str(got.value) == str(want.value)
             rows[5] = rows[0]
+
+    @pytest.mark.parametrize("shape", [(200, 4), (100, 2, 4)])
+    def test_a_later_block_and_a_cycle_tail_are_checked(self, rng, shape):
+        rows = random_populations(rng, 200).reshape(shape)
+        rows[-10] = [0.5, 0.6, -0.1, 0.0]  # a state past the first block of 64
+        states = _states(rows - 0.25)
+        with pytest.raises(ValueError, match="negative population"):
+            check_simplex(states)
+        # a tail that repeats a cycle's tuples, as the pump fills it, and its cycle's states
+        head, cycle = states[:-12], states[-12:-8]
+        with pytest.raises(ValueError, match="negative population"):
+            check_simplex(head + cycle * 30)
+        check_simplex(head + states[-8:-4] * 30)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rows_raise(self, rng, bad):

@@ -1,18 +1,20 @@
 """Print the median fresh-process wall time of each CLI command, and whether it imports numpy.
 
-Each command runs ``--runs`` times (default 7) as ``python -m singletcool.cli`` with
-``src`` on PYTHONPATH; one more run under ``-X importtime`` tells whether numpy was
-imported.  Run from the repository root:
+Each command runs `RUNS` times as ``python -m singletcool.cli`` with ``src`` on PYTHONPATH;
+one more run under ``-X importtime`` tells whether numpy was imported.  Run from the
+repository root:
 
-    python3 tools/cli_startup.py [--runs N]
+    python3 tools/cli_startup.py
 """
 
-import argparse
 import os
 import statistics
 import subprocess
 import sys
 import time
+
+#: Fresh processes timed per command.
+RUNS = 11
 
 COMMANDS = ["pump --mode ideal --np 40", "pump --mode kinetic --np 40",
             "sweep-tau --tau-grid 1,10,28,100", "decay --tau-ev-grid 0,50,100,200",
@@ -31,12 +33,9 @@ def run(argv: str, *flags: str) -> tuple[float, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=7, help="processes timed per command")
-    runs = parser.parse_args().runs
     print(f"{'command':<36}{'median s':>10}  numpy")
     for argv in COMMANDS:
-        median = statistics.median(run(argv)[0] for _ in range(runs))
+        median = statistics.median(run(argv)[0] for _ in range(RUNS))
         imports = run(argv, "-X", "importtime")[1].splitlines()
         numpy = any(line.split("|")[-1].strip() == "numpy" for line in imports)
         print(f"{argv:<36}{median:>10.3f}  {'yes' if numpy else 'no'}")
