@@ -11,89 +11,70 @@ Three fidelity layers simulate the same pumping protocol:
 
 `singletcool.cli` exposes the command-line front end (``singletcool``).
 
-`kinetics`, which imports numpy, is imported on first access to one of its names
-(PEP 562), as are ``SINGLET_ORDER`` and ``ZEEMAN_ORDER``; ``import singletcool``
-imports no numpy.
+Every public name is listed once, in ``_EXPORTS`` with its module, and is read from
+that module when accessed (PEP 562).  `kinetics`, which imports numpy, is imported on
+first access to one of its names, as are ``SINGLET_ORDER`` and ``ZEEMAN_ORDER``;
+``import singletcool`` imports no numpy.
 """
 
 import importlib
 
-from .core import (
-    GAMMA_13C,
-    N_SO,
-    N_ZO,
-    OrderKind,
-    OrderObservable,
-    PopulationVector,
-    SpinSystemParams,
-    epsilon,
-    measure_order,
-    thermal_populations,
-    unitary_max_order,
-)
-from .protocol import (
-    Permutation,
-    TransferMatrix,
-    closed_form_so,
-    cycle_matrix,
-    enhance_zeeman,
-    ideal_reset,
-    ideal_signal,
-    ideal_steady_state,
-    permutation_matrix,
-    run_ideal,
-    signal_from_singlet_order,
-)
+from . import core, protocol
 
 __version__ = "0.1.0"
 
+#: Each public name and the module that defines it.
+_EXPORTS = {
+    "GAMMA_13C": "core",
+    "N_SO": "core",
+    "N_ZO": "core",
+    "OrderKind": "core",
+    "OrderObservable": "core",
+    "PopulationVector": "core",
+    "SINGLET_ORDER": "core",
+    "SpinSystemParams": "core",
+    "ZEEMAN_ORDER": "core",
+    "epsilon": "core",
+    "measure_order": "core",
+    "thermal_populations": "core",
+    "unitary_max_order": "core",
+    "Permutation": "protocol",
+    "TransferMatrix": "protocol",
+    "closed_form_so": "protocol",
+    "cycle_matrix": "protocol",
+    "enhance_zeeman": "protocol",
+    "ideal_reset": "protocol",
+    "ideal_signal": "protocol",
+    "ideal_steady_state": "protocol",
+    "permutation_matrix": "protocol",
+    "run_ideal": "protocol",
+    "signal_from_singlet_order": "protocol",
+    "FitResult": "kinetics",
+    "KineticProtocolResult": "kinetics",
+    "RateMatrix": "kinetics",
+    "TauSweep": "kinetics",
+    "calibrate_rates": "kinetics",
+    "decay_curve": "kinetics",
+    "finite_reset": "kinetics",
+    "fit_monoexponential": "kinetics",
+    "run_kinetic": "kinetics",
+    "sweep_tau": "kinetics",
+    "zeeman_enhancement_ratio": "kinetics",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
 
 def __getattr__(name: str):
-    """`kinetics` and its names in `__all__`, and the observables of `core`, imported on
-    first access: each imports numpy."""
-    if name in ("SINGLET_ORDER", "ZEEMAN_ORDER"):
-        return getattr(importlib.import_module(".core", __name__), name)
-    if name != "kinetics" and name not in __all__:
+    """A public name, or `kinetics` itself, read from its module, which is imported on
+    first access."""
+    if name == "kinetics":
+        return importlib.import_module(".kinetics", __name__)
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    kinetics = importlib.import_module(".kinetics", __name__)
-    return kinetics if name == "kinetics" else getattr(kinetics, name)
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
 
 
-__all__ = [
-    "GAMMA_13C",
-    "N_SO",
-    "N_ZO",
-    "OrderKind",
-    "OrderObservable",
-    "PopulationVector",
-    "SINGLET_ORDER",
-    "SpinSystemParams",
-    "ZEEMAN_ORDER",
-    "epsilon",
-    "measure_order",
-    "thermal_populations",
-    "unitary_max_order",
-    "Permutation",
-    "TransferMatrix",
-    "closed_form_so",
-    "cycle_matrix",
-    "enhance_zeeman",
-    "ideal_reset",
-    "ideal_signal",
-    "ideal_steady_state",
-    "permutation_matrix",
-    "run_ideal",
-    "signal_from_singlet_order",
-    "FitResult",
-    "KineticProtocolResult",
-    "RateMatrix",
-    "TauSweep",
-    "calibrate_rates",
-    "decay_curve",
-    "finite_reset",
-    "fit_monoexponential",
-    "run_kinetic",
-    "sweep_tau",
-    "zeeman_enhancement_ratio",
-    "__version__",
-]
+def __dir__() -> list[str]:
+    """The module's names and every public one, imported yet or not."""
+    return sorted({*globals(), *_EXPORTS})

@@ -449,6 +449,8 @@ def composite_pulse_propagator(sign: int = +1, amplitude_scale: float = 1.0) -> 
     target under amplitude miscalibration (the scale multiplies both flip
     angles).
     """
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if not 0.0 < amplitude_scale < math.inf:
         raise ValueError(f"amplitude_scale must be finite and positive, got {amplitude_scale!r}")
     u1 = collective_rotation(np.pi * amplitude_scale, sign * np.deg2rad(30.0))
@@ -458,6 +460,8 @@ def composite_pulse_propagator(sign: int = +1, amplitude_scale: float = 1.0) -> 
 
 def magnetization_overlap(prop: Propagator, sign: int = +1) -> float:
     """Overlap of U (I1x+I2x) U+ with the target -sign*(I1z+I2z), in [-1, 1]."""
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     ops = spin_operators()
     ix = ops.i1x + ops.i2x
     iz = ops.i1z + ops.i2z

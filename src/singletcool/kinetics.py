@@ -18,8 +18,8 @@ and I - Theta, and a relaxation interval of duration tau is exactly
 
     exp(R*tau) = P_eq + e^{-k_S tau} (Theta - P_eq) + e^{-(k_T+k_S) tau} (I - Theta).
 
-Maps and generator are built from one set of parts (I, Theta - P_eq, I - Theta),
-cached per eps; the generator is the rate of the maps at tau = 0,
+Maps and generator are built from one set of parts (I, Theta - P_eq, I - Theta);
+the generator is the rate of the maps at tau = 0,
 
     R = -k_S (Theta - P_eq) - (k_T + k_S) (I - Theta).
 
@@ -28,6 +28,10 @@ Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its
 T1 << tau << TS limit.  The engine steps with the two factors alone, as
 a = expm1(-k_S tau) and b = expm1(-(k_T+k_S) tau) in `protocol._reset`; the ideal
 engine's (a, b) is (0, -1).
+
+The calibration is these two closed-form rates and nothing more: the mode rates hold by
+construction, to round-off, for every finite 0 < T1 < TS (tests/test_kinetics.py checks
+them up to TS/T1 = 1e10), so no run re-derives them.
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
@@ -58,34 +62,24 @@ import numpy as np
 from .core import PopulationVector, SpinSystemParams, _Checked, epsilon
 from .protocol import PopulationEngine, TransferMatrix, _reset_matrix, _so_of_deviation
 
-_RATE_CHECK_TOL = 1e-9
 _FIT_MAX_STEPS = 200  # Gauss-Newton steps, and halvings of each
 _FIT_RTOL = 1e-13
 
 
-class CalibrationError(ValueError):
-    """Raised when the calibrated generator fails its self-verification."""
-
-
-@functools.lru_cache(maxsize=8)
 def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, cached and read-only;
-    every column of P_eq is the thermal vector."""
+    """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, built afresh on each
+    call; every column of P_eq is the thermal vector."""
     thermal = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
     p_eq = np.tile(thermal.reshape(4, 1), (1, 4))
     theta = _reset_matrix(eps)
-    parts = (np.eye(4), theta - p_eq, np.eye(4) - theta)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
+    return np.eye(4), theta - p_eq, np.eye(4) - theta
 
 
 def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
     """R = -k_S(Theta - P_eq) - (k_T + k_S)(I - Theta), the rate of the maps at tau = 0,
-    from the parts cached per eps.  Summed as -k_T(I - Theta) - k_S((Theta - P_eq) +
-    (I - Theta)), which never rounds k_T + k_S: at eps = 0 it is bit-equal to
-    k_T(Theta - I) + k_S(P_eq - I).  Those bits decide the self-check of `calibrate_rates`
-    once TS/T1 passes ~1e7, where its error is round-off."""
+    from the parts at eps.  Summed as -k_T(I - Theta) - k_S((Theta - P_eq) + (I - Theta)),
+    which never rounds k_T + k_S: at eps = 0 it is bit-equal to k_T(Theta - I) +
+    k_S(P_eq - I).  The bits of `RateMatrix.r` are pinned to this grouping."""
     _, d_so, d_t = _map_parts(eps)
     return -k_t * d_t - k_s * (d_so + d_t)
 
@@ -103,7 +97,7 @@ def _decay_factors(k_t: float, k_s: float, tau: float | np.ndarray) -> tuple:
 
 
 def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:
-    """exp(R*tau) in projector form, from the parts cached per eps; as P_eq + (Theta - P_eq)
+    """exp(R*tau) in projector form, from the parts at eps; as P_eq + (Theta - P_eq)
     + (I - Theta) = I, expm1 carries the departure from I, which keeps short intervals accurate.
 
     An array of intervals gives the stack of maps, shape tau.shape + (4, 4), each
@@ -143,40 +137,24 @@ class RateMatrix(_Checked, _RateFields):
 
 @functools.lru_cache(maxsize=64, typed=True)
 def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
-    """Build the rate matrix whose ZO mode decays at 1/t1 and SO mode at 1/ts.
-
-    The generator and the eps = 0 one of the self-check are read off parts cached
-    per eps.  Memoized, so the self-check runs once per (t1, ts, eps); failures are not cached.
+    """The rate matrix whose ZO mode decays at 1/t1 and SO mode at 1/ts, in closed form:
+    k_S = 1/ts and k_T = 1/t1 - 1/ts, with the generator read off the parts at eps.
+    Memoized per (t1, ts, eps); failures are not cached.
 
     Raises:
-        ValueError: unless 0 < t1 < ts (k_T would be nonpositive), or if 1/t1, and so
-            1/ts, overflows to inf.
-        CalibrationError: if the constructed generator does not reproduce
-            the requested decay rates on the ZO/SO eigendirections.
+        ValueError: unless t1 and ts are finite with 0 < t1 < ts (k_T would be
+            nonpositive), or if 1/t1, and so 1/ts, overflows to inf.
     """
-    if t1 <= 0.0:
-        raise ValueError(f"t1 must be positive, got {t1}")
-    if ts <= t1:
-        raise ValueError(f"ts = {ts} must exceed t1 = {t1} (k_T would be <= 0)")
-    # an infinite 1/ts is caught too, as ts > t1; float() keeps a numpy scalar from warning
+    if not 0.0 < t1 < math.inf:
+        raise ValueError(f"t1 must be finite and positive, got {t1}")
+    if not t1 < ts < math.inf:
+        raise ValueError(f"ts = {ts} must be finite and exceed t1 = {t1} (k_T would be <= 0)")
+    # float() keeps a numpy scalar from warning
     if math.isinf(1.0 / float(t1)):
         raise ValueError(f"relaxation rate 1/t1 = inf: t1 = {float(t1)!r} is too small")
     k_s = 1.0 / ts
     k_t = 1.0 / t1 - 1.0 / ts
-    r = _generator(k_t, k_s, eps)
-
-    # self-check on the eps = 0 generator: SO and ZO modes decay at 1/ts, 1/t1
-    r0 = _generator(k_t, k_s, 0.0)
-    v_so = np.array([3.0, -1.0, -1.0, -1.0])
-    v_zo = np.array([0.0, 1.0, 0.0, -1.0])
-    so_err = np.max(np.abs(r0 @ v_so + v_so / ts)) / (np.max(np.abs(v_so)) / ts)
-    zo_err = np.max(np.abs(r0 @ v_zo + v_zo / t1)) / (np.max(np.abs(v_zo)) / t1)
-    if not (so_err <= _RATE_CHECK_TOL and zo_err <= _RATE_CHECK_TOL):
-        raise CalibrationError(
-            f"calibrated generator misses its decay rates (SO err {so_err:.2e}, "
-            f"ZO err {zo_err:.2e})"
-        )
-    return RateMatrix(r=r, k_t=k_t, k_s=k_s, eps=eps)
+    return RateMatrix(r=_generator(k_t, k_s, eps), k_t=k_t, k_s=k_s, eps=eps)
 
 
 def finite_reset(rate: RateMatrix, tau: float) -> TransferMatrix:
@@ -186,7 +164,7 @@ def finite_reset(rate: RateMatrix, tau: float) -> TransferMatrix:
     tau -> infinity converges to complete rethermalization (every column
     the thermal vector).
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     return TransferMatrix(
         _relaxation_map(rate.k_t, rate.k_s, rate.eps, tau), label=f"finite_reset(tau={tau!r})"

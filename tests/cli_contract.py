@@ -230,6 +230,8 @@ CASES = [
     Case("pump --mode kinetic --np 12 --tau 28", 0, (), _kinetic_plateau),
     # walks to the exact 2-cycle and fills the remaining rows
     Case("pump --mode kinetic --np 200 --tau 20", 0, (), table("n_p,so,signal", 201)),
+    # TS/T1 ~ 1.4e11: the closed-form rates calibrate any 0 < T1 < TS
+    Case("pump --ts 1e12", 0, (), table("n_p,so,signal", 7)),
     Case("sweep-tau --np 4 --tau-grid 1,10,100", 0, (), table("tau,signal", 3, optimum("10.0"))),
     # n_p = 0 on a stack of maps: state 0 alone, one row per grid point
     Case("sweep-tau --np 0 --tau-grid 1,10,100", 0, (), table("tau,signal", 3, optimum("1.0"))),
@@ -330,7 +332,7 @@ CASES = [
         "pump", "pump --mode ideal", "enhance", "sweep-tau --tau-grid 1,2,3",
         "decay --tau-ev-grid 0,50,100",
     )),
-    # a relaxation rate 1/t1 that overflows is named before the self-check
+    # a relaxation rate 1/t1 that overflows is named before the generator is built
     *(Case(f"pump --t1 {t1} --ts {ts}", 2,
            (failure(f"relaxation rate 1/t1 = inf: t1 = {t1} is too small"),))
       for t1, ts in (("1e-320", "1"), ("5e-324", "1e-323"))),

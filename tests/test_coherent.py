@@ -569,6 +569,14 @@ class TestCompositePulse:
         with pytest.raises(ValueError, match="amplitude_scale must be finite and positive"):
             composite_pulse_propagator(+1, scale)
 
+    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+    def test_rejects_sign_by_name(self, sign):
+        # only +1 and -1 are defined; sign 0 or 2 gives an overlap near 0 that reads like a result
+        with pytest.raises(ValueError, match=re.escape(f"sign must be +1 or -1, got {sign!r}")):
+            composite_pulse_propagator(sign)
+        with pytest.raises(ValueError, match=re.escape(f"sign must be +1 or -1, got {sign!r}")):
+            magnetization_overlap(composite_pulse_propagator(+1), sign)
+
 
 @pytest.fixture(scope="module")
 def permutation_runs():
