@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from . import protocol
@@ -53,41 +53,37 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad grid value {text!r}: {exc}") from None
 
 
-def _key(default, parse, help: str):
-    """A run key: its default, its text parser and its flag help."""
-    return field(default=default, metadata={"parse": parse, "help": help})
-
-
 #: The spin keys' defaults: the reference system of `SpinSystemParams`.
 _SPIN = SpinSystemParams._field_defaults
 
-
-@dataclass
-class RunConfig:
-    """Merged run configuration (defaults < config file < flags).
-
-    Each field is one run key, read from its flag and its config-file key by its parser.
-    """
-
-    mode: str = _key("kinetic", str, "engine: ideal | kinetic")
-    n_p: int = _key(6, int, "number of permutations")
-    tau: float = _key(28.0, float, "reset interval, s")
-    tau_ev: float = _key(0.0, float, "post-pump evolution interval, s")
-    tau_prime: float = _key(18.0, float, "final reset of the magnetization protocol, s")
-    j: float = _key(_SPIN["j_coupling"], float, "scalar coupling, Hz")
-    delta_ppm: float = _key(_SPIN["delta_shift"], float, "chemical-shift difference, ppm")
-    b0: float = _key(_SPIN["b0"], float, "static field, T")
-    gamma: float = _key(_SPIN["gamma"], float, "magnetogyric ratio, rad/s/T")
-    temperature: float = _key(_SPIN["temperature"], float, "temperature, K")
-    t1: float = _key(_SPIN["t1"], float, "Zeeman relaxation time, s")
-    ts: float = _key(_SPIN["ts"], float, "singlet decay time, s")
+#: Each run key once, as name: (default, text parser, help).  A key is read from its flag
+#: (`_flag`) and from its config-file key by its parser.
+_KEYS = {
+    "mode": ("kinetic", str, "engine: ideal | kinetic"),
+    "n_p": (6, int, "number of permutations"),
+    "tau": (28.0, float, "reset interval, s"),
+    "tau_ev": (0.0, float, "post-pump evolution interval, s"),
+    "tau_prime": (18.0, float, "final reset of the magnetization protocol, s"),
+    "j": (_SPIN["j_coupling"], float, "scalar coupling, Hz"),
+    "delta_ppm": (_SPIN["delta_shift"], float, "chemical-shift difference, ppm"),
+    "b0": (_SPIN["b0"], float, "static field, T"),
+    "gamma": (_SPIN["gamma"], float, "magnetogyric ratio, rad/s/T"),
+    "temperature": (_SPIN["temperature"], float, "temperature, K"),
+    "t1": (_SPIN["t1"], float, "Zeeman relaxation time, s"),
+    "ts": (_SPIN["ts"], float, "singlet decay time, s"),
     # coherent.DEFAULT_PULSE_STEPS, a literal as coherent is imported on demand
-    n_steps: int = _key(20000, int, "shaped-pulse integration steps")
-    out: Optional[str] = _key(None, str, "output CSV path (default stdout)")
-    tau_grid: Optional[tuple[float, ...]] = _key(
-        None, _parse_grid, "comma-separated reset durations, s")
-    tau_ev_grid: Optional[tuple[float, ...]] = _key(
-        None, _parse_grid, "comma-separated evolution delays, s")
+    "n_steps": (20000, int, "shaped-pulse integration steps"),
+    "out": (None, str, "output CSV path (default stdout)"),
+    "tau_grid": (None, _parse_grid, "comma-separated reset durations, s"),
+    "tau_ev_grid": (None, _parse_grid, "comma-separated evolution delays, s"),
+}
+
+
+class RunConfig(namedtuple("RunConfig", _KEYS, defaults=[key[0] for key in _KEYS.values()])):
+    """Merged run configuration (defaults < config file < flags): one field per row of
+    `_KEYS`, with that row's default."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.mode not in ("ideal", "kinetic"):
@@ -131,10 +127,6 @@ def _flag(name: str) -> str:
     return "--np" if name == "n_p" else "--" + name.replace("_", "-")
 
 
-#: The run keys by flag.
-_KEYS = {_flag(f.name): f for f in fields(RunConfig)}
-
-
 def read_config_file(path: str) -> dict:
     """Parse 'key = value' lines; '#' starts a comment."""
     values = {}
@@ -148,10 +140,10 @@ def read_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                f = _KEYS.get(_flag(key))
-                if f is None:
+                name = "n_p" if key == "np" else key
+                if name not in _KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[f.name] = f.metadata["parse"](val.strip())
+                values[name] = _KEYS[name][1](val.strip())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except ValueError as exc:
@@ -174,29 +166,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="key = value config file")
-    for flag, f in _KEYS.items():
-        common.add_argument(flag, dest=f.name, type=f.metadata["parse"], default=None,
-                            help=f.metadata["help"])
-
     parser = _Parser(prog="singletcool",
                      description="algorithmic cooling of a spin-1/2 pair via singlet order")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, desc) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=desc)
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="; ".join(f"{name}: {desc}" for name, (_, desc) in _COMMANDS.items()))
+    parser.add_argument("--config", help="key = value config file")
+    for name, (_, parse, text) in _KEYS.items():
+        parser.add_argument(_flag(name), dest=name, type=parse, help=text)
     return parser
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config is not None:
-        for key, value in read_config_file(args.config).items():
-            setattr(config, key, value)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            setattr(config, f.name, value)
+    """The run keys of the config file, then the flags given, over the defaults."""
+    values = read_config_file(args.config) if args.config is not None else {}
+    values.update((name, value) for name, value in vars(args).items()
+                  if name in _KEYS and value is not None)
+    config = RunConfig(**values)
     config.validate()
     return config
 

@@ -87,24 +87,13 @@ def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
 def _decay_factors(k_t: float, k_s: float, tau: float | np.ndarray) -> tuple:
     """(a, b) = (expm1(-k_S tau), expm1(-(k_T + k_S) tau)): the departures from 1 of the
     decay factors of Theta - P_eq and I - Theta over an interval tau, the factors of
-    `protocol._reset` and of `_relaxation_map`.  Python floats for one interval, arrays of
+    `protocol._reset` and of `finite_reset`.  Python floats for one interval, arrays of
     tau's shape for an array of them, every element from numpy's expm1, so that a stack
     equals its scalar calls bit for bit.  A k*tau past float64 is exact: expm1(-inf) = -1."""
     taus = np.asarray(tau, dtype=float)
     with np.errstate(over="ignore"):
         a, b = np.expm1(-k_s * taus), np.expm1(-(k_t + k_s) * taus)
     return (a, b) if taus.ndim else (float(a), float(b))
-
-
-def _relaxation_map(k_t: float, k_s: float, eps: float, tau: float | np.ndarray) -> np.ndarray:
-    """exp(R*tau) in projector form, from the parts at eps; as P_eq + (Theta - P_eq)
-    + (I - Theta) = I, expm1 carries the departure from I, which keeps short intervals accurate.
-
-    An array of intervals gives the stack of maps, shape tau.shape + (4, 4), each
-    slice equal to the scalar call."""
-    eye, d_so, d_t = _map_parts(eps)
-    a, b = (np.asarray(f)[..., None, None] for f in _decay_factors(k_t, k_s, tau))
-    return eye + a * d_so + b * d_t
 
 
 class _RateFields(NamedTuple):
@@ -160,15 +149,16 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
 def finite_reset(rate: RateMatrix, tau: float) -> TransferMatrix:
     """Relaxation over an interval tau as the transfer matrix exp(R*tau).
 
-    Evaluated in closed form at ``rate.eps``.  tau = 0 gives the identity;
-    tau -> infinity converges to complete rethermalization (every column
-    the thermal vector).
+    Evaluated in closed form at ``rate.eps``, in projector form from the parts at eps; as
+    P_eq + (Theta - P_eq) + (I - Theta) = I, expm1 carries the departure from I, which
+    keeps short intervals accurate.  tau = 0 gives the identity; tau -> infinity converges
+    to complete rethermalization (every column the thermal vector).
     """
     if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    return TransferMatrix(
-        _relaxation_map(rate.k_t, rate.k_s, rate.eps, tau), label=f"finite_reset(tau={tau!r})"
-    )
+    eye, d_so, d_t = _map_parts(rate.eps)
+    a, b = _decay_factors(rate.k_t, rate.k_s, tau)
+    return TransferMatrix(eye + a * d_so + b * d_t, label=f"finite_reset(tau={tau!r})")
 
 
 class KineticProtocolResult(NamedTuple):

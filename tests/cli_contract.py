@@ -290,6 +290,7 @@ CASES = [
         ("pump --ts inf", "ts must be finite, got inf"),
         ("pump --b0 nan", "b0 must be finite, got nan"),
         ("pump --tau-ev inf", "tau_ev must be finite and >= 0"),
+        ("coherent-check --n-steps 0", "n-steps must be >= 1"),
         ("sweep-tau --tau-grid nan", "tau-grid entries must be finite"),
         # grids out of the engines' domain
         ("sweep-tau --tau-grid=-1,2", "tau-grid entries must be >= 0"),

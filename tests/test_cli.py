@@ -2,7 +2,6 @@ import ast
 import contextlib
 import io
 import re
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -314,7 +313,7 @@ KEY_VALUES = {
 class TestRunKeyTable:
     # every RunConfig field is one run key: a flag and a config-file key
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    @pytest.mark.parametrize("name", RunConfig._fields)
     def test_flag_and_config_file_key_agree(self, tmp_path, name):
         value = KEY_VALUES[name]
         from_flag = build_config(_build_parser().parse_args(["pump", flag_of(name), value]))
@@ -336,7 +335,7 @@ class TestRunKeyTable:
             main([command, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
-        expected = {flag_of(f.name) for f in fields(RunConfig)} | {"--config", "--help"}
+        expected = {flag_of(name) for name in RunConfig._fields} | {"--config", "--help"}
         assert listed == expected
 
 
@@ -345,7 +344,8 @@ def _key_value(name, value):
     return st.tuples(spelling, value).map(" = ".join)
 
 
-_FLOAT_KEYS = [f.name for f in fields(RunConfig) if isinstance(f.default, float)]
+_FLOAT_KEYS = [name for name, default in RunConfig._field_defaults.items()
+               if isinstance(default, float)]
 _GRID_KEYS = ["tau_grid", "tau_ev_grid"]
 _GARBAGE = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e308", "-1e-300", "abc", ""])
 _ANY_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr), _GARBAGE)
@@ -462,19 +462,19 @@ class TestEngineBoundary:
 
 
 class TestImportFootprint:
-    def test_ideal_runs_import_no_numpy(self):
+    def test_ideal_runs_import_no_numpy_dataclasses_or_inspect(self):
+        # each ideal run, in a fresh interpreter, loads none of these modules
         probe = (
-            "import contextlib, io, sys, singletcool\n"
-            "print('numpy' in sys.modules)\n"
+            "import contextlib, io, sys\n"
             "from singletcool.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
-            "print(codes, 'numpy' in sys.modules)\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
-        proc = run_python("-c", probe, *[case.argv for case in IDEAL_CASES])
         assert len(IDEAL_CASES) == 4
-        want = (0, "False\n[0, 0, 0, 0] False\n", "")
-        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        for case in IDEAL_CASES:
+            proc = run_python("-c", probe, *case.argv.split())
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", ""), case.argv
 
     @pytest.mark.parametrize("case", IDEAL_CASES, ids=[case.argv for case in IDEAL_CASES])
     def test_ideal_runs_are_the_same_with_numpy_unimportable(self, case):
@@ -498,6 +498,17 @@ class TestImportFootprint:
         proc = run_python("-c", probe)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] ndarray False True\n", "")
 
+    def test_kinetics_and_every_public_name_before_any_import(self):
+        # dir lists the names not imported yet; reading `kinetics` imports it
+        probe = (
+            "import sys, singletcool\n"
+            "print(sorted(set(singletcool.__all__) - set(dir(singletcool))),\n"
+            "      'singletcool.kinetics' in sys.modules)\n"
+            "print(singletcool.kinetics is sys.modules['singletcool.kinetics'])\n"
+        )
+        proc = run_python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] False\nTrue\n", "")
+
     def test_cli_imports_coherent_on_demand(self):
         probe = "import sys, singletcool.cli; print('singletcool.coherent' in sys.modules)"
         proc = run_python("-c", probe)
@@ -518,12 +529,12 @@ class TestImportFootprint:
             _, fidelity = coherent.simulate_permutation(kind, params, n_steps=600)
             assert rows[f"fidelity_{kind.value}"] == f",{fidelity!r}"
 
-    def test_only_the_run_config_is_a_dataclass(self):
-        # the value types are NamedTuples: a frozen dataclass builds its methods with
-        # exec at every interpreter start
+    def test_only_the_coherent_operators_are_dataclasses(self):
+        # the value types and the run configuration are NamedTuples: a dataclass builds
+        # its methods with exec at every interpreter start
         probe = (
-            "import dataclasses, singletcool.cli, singletcool.kinetics, sys\n"
-            "for name in ('core', 'protocol', 'kinetics', 'cli'):\n"
+            "import dataclasses, singletcool.cli, singletcool.coherent, singletcool.kinetics, sys\n"
+            "for name in ('core', 'protocol', 'kinetics', 'coherent', 'cli'):\n"
             "    module = sys.modules['singletcool.' + name]\n"
             "    for value in vars(module).values():\n"
             "        if (isinstance(value, type) and value.__module__ == module.__name__\n"
@@ -531,7 +542,8 @@ class TestImportFootprint:
             "            print(name, value.__name__)\n"
         )
         proc = run_python("-c", probe)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "cli RunConfig\n", "")
+        want = "coherent SpinOperatorSet\ncoherent PulseShape\ncoherent Propagator\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
     def test_every_command_runs_without_scipy(self):
         # the runtime needs only numpy: each command runs with scipy unimportable

@@ -517,8 +517,17 @@ class TestStepExponentials:
         if q > 1:  # the smallest degree that meets the documented tail bound
             assert theta**q / math.factorial(q) > 2.0**-53 * (1.0 - theta / (q + 1))
 
+    def test_rejects_a_nan_stack(self):
+        h = np.full((2, 4, 4), np.nan)
+        with pytest.raises(ValueError, match=re.escape("non-finite Hamiltonian step norm")):
+            coherent._step_exponentials(h, 0.25, np.linalg.norm(h, axis=(-2, -1)))
+
 
 class TestPropagator:
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match=re.escape("propagator must be 4x4, got (3, 3)")):
+            Propagator(np.eye(3))
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             Propagator(np.eye(4) * 1.5)
@@ -615,6 +624,10 @@ class TestSimulatePermutation:
         composed = t142 @ t124
         identity_fidelity = float(np.trace(composed) / 4.0)
         assert identity_fidelity >= f124 * f142
+
+    def test_rejects_a_frame_sign_other_than_one(self, default_params):
+        with pytest.raises(ValueError, match=re.escape("frame_sign must be +1 or -1")):
+            simulate_permutation(Permutation.PI124, default_params, n_steps=10, frame_sign=0)
 
     def test_frame_sign_flip_swaps_realized_cycles(self, permutation_runs, default_params):
         flipped, _ = simulate_permutation(
@@ -797,6 +810,11 @@ class TestT00Project:
         projected = t00_project(rho)
         off_diag = projected - np.diag(np.diag(projected))
         np.testing.assert_allclose(off_diag, np.zeros((4, 4)), atol=1e-15)
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("density operator must be 4x4, got (3, 3)")):
+            t00_project(np.eye(3, dtype=complex) / 3.0)
 
     def test_rejects_non_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0

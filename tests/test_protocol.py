@@ -468,6 +468,15 @@ class TestClosedForm:
         for n in range(1, 9):
             assert np.sign(closed_form_so(n, 1e-4)) == (-1) ** n
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("n_p must be >= 0, got -1")):
+            closed_form_so(-1, 1e-4)
+
+    def test_steady_state_rejects_an_odd_count(self):
+        with pytest.raises(ValueError,
+                           match="steady state is defined for even permutation counts"):
+            ideal_steady_state(1e-4, 3)
+
 
 class TestEnhanceZeeman:
     def test_steady_state_gain(self):
