@@ -9,10 +9,10 @@ warnings as ``warning: ...`` lines.
 
 Configuration is read from flags, or from a plain-text file of
 ``key = value`` lines given with --config ('#' comments allowed); flags
-override file values.  Every flag is a config key, spelt with underscores
-or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``); ``--key -v`` reads
-as ``--key=-v`` for a negative number in any float spelling.  Default values
-regenerate the reference scenario of the bundled 13C2 spin pair.
+override file values.  Every flag is a config key, spelt in full with
+underscores or dashes (``np`` or ``n_p``, ``tau-ev`` or ``tau_ev``); ``--key -v``
+reads as ``--key=-v`` for a negative number in any float spelling.  Default
+values regenerate the reference scenario of the bundled 13C2 spin pair.
 
 In pump and enhance, --mode picks the library's population engine, ideal or
 kinetic, and each command reads its rows off one checked pump of that engine.
@@ -166,7 +166,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="singletcool",
+    parser = _Parser(prog="singletcool", allow_abbrev=False,
                      description="algorithmic cooling of a spin-1/2 pair via singlet order")
     parser.add_argument("command", choices=_COMMANDS,
                         help="; ".join(f"{name}: {desc}" for name, (_, desc) in _COMMANDS.items()))
@@ -190,9 +190,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
-    """Spin parameters and eps for the population engines, which need 0 < |eps| < 1 and
-    no |eps| below `protocol.MIN_EPS`."""
+def _population_params(config: RunConfig) -> SpinSystemParams:
+    """The spin parameters of a population engine, which needs 0 < |eps| < 1 and no |eps|
+    below `protocol.MIN_EPS`; the engine built from them warns of the regime."""
     params = config.spin_params()
     with warnings.catch_warnings():
         # an eps out of range is a config error, not a high-temperature warning
@@ -202,22 +202,22 @@ def _population_params(config: RunConfig) -> tuple[SpinSystemParams, float]:
         raise ConfigError(f"eps = {eps!r} must satisfy 0 < |eps| < 1 (gamma, b0, temperature)")
     if abs(eps) < protocol.MIN_EPS:
         raise ConfigError(f"|eps| = {abs(eps)!r} is below 2**-1018 (gamma, b0, temperature)")
-    return params, epsilon(params)
+    return params
 
 
-def _engine(config: RunConfig, params: SpinSystemParams, eps: float) -> protocol.PopulationEngine:
-    """The population engine of --mode."""
+def _engine(config: RunConfig) -> protocol.PopulationEngine:
+    """The population engine of --mode, with its eps."""
+    params = _population_params(config)
     if config.mode == "ideal":
-        return protocol.ideal_engine(eps)
+        return protocol.ideal_engine(epsilon(params))
     from . import kinetics
     return kinetics.kinetic_engine(params)
 
 
 def cmd_pump(config: RunConfig) -> tuple[list[str], Optional[str]]:
     """One row per permutation count from 0 to np."""
-    params, eps = _population_params(config)
-    engine = _engine(config, params, eps)
-    ideal = config.mode == "ideal"
+    engine = _engine(config)
+    eps, ideal = engine.eps, config.mode == "ideal"
     lines = ["n_p,so,signal" + (",closed_form_so" if ideal else ""), SIGNAL_NOTE]
     # the pump for k permutations is a prefix of the pump for n_p
     for k, delta in enumerate(engine.pump(config.n_p, config.tau)):
@@ -233,7 +233,7 @@ def cmd_sweep_tau(config: RunConfig) -> tuple[list[str], Optional[str]]:
         raise ConfigError("sweep-tau requires --tau-grid")
     if config.mode != "kinetic":
         raise ConfigError("sweep-tau runs on the kinetic engine (mode kinetic)")
-    params, _ = _population_params(config)
+    params = _population_params(config)
     from . import kinetics
     sweep = kinetics.sweep_tau(config.n_p, config.tau_grid, params)
     lines = ["tau,signal", SIGNAL_NOTE]
@@ -250,7 +250,7 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], Optional[str]]:
         raise ConfigError("decay needs at least 3 grid points for the exponential fit")
     if config.mode != "kinetic":
         raise ConfigError("decay runs on the kinetic engine (mode kinetic)")
-    params, _ = _population_params(config)
+    params = _population_params(config)
     from . import kinetics
     curve = kinetics.decay_curve(config.n_p, config.tau, config.tau_ev_grid, params)
     fit = kinetics.fit_monoexponential(curve)
@@ -271,7 +271,7 @@ def cmd_decay(config: RunConfig) -> tuple[list[str], Optional[str]]:
 def cmd_enhance(config: RunConfig) -> tuple[list[str], Optional[str]]:
     if config.n_p % 2:
         raise ConfigError("enhance is defined for even permutation counts")
-    engine = _engine(config, *_population_params(config))
+    engine = _engine(config)
     ratio = engine.zeeman_ratio(engine.pump(config.n_p, config.tau)[-1], config.tau_prime)
     return ["zo_ratio,spin_temperature_ratio", f"{_fmt(ratio)},{_fmt(1.0 / ratio)}"], None
 

@@ -214,11 +214,9 @@ class PulseShape:
     @classmethod
     def default(cls, offset_hz: float = 0.0, phase: float = 0.0) -> "PulseShape":
         """The bundled adiabatic spin-order-conversion shape."""
-        text = (
-            resources.files("singletcool").joinpath("data/apsoc_coefficients.txt").read_text()
-        )
-        coeffs = tuple(float(line) for line in text.splitlines() if line.strip())
-        return cls(coefficients=coeffs, offset_hz=offset_hz, phase=phase)
+        data = resources.files("singletcool") / "data/apsoc_coefficients.txt"
+        with resources.as_file(data) as path:
+            return cls.from_file(path, offset_hz=offset_hz, phase=phase)
 
     def profile(self, x: float | np.ndarray) -> float | np.ndarray:
         """Horner evaluation of the raw polynomial at x = t/duration.
@@ -308,23 +306,24 @@ def _taylor_degree(theta: float) -> int:
     return q
 
 
-def _step_exponentials(h: np.ndarray, dt: float, h_norms: np.ndarray) -> np.ndarray:
+def _step_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) of an (m, 4, 4) Hermitian stack by matrix products alone.
 
     Each exponential is returned in the real 8x8 form [[Re U, -Im U],
     [Im U, Re U]]: U = u[:4, :4] + 1j*u[4:, :4].  That is also the real form
-    of z = -i h dt, whose Frobenius norm is sqrt(2)*|h|_F*|dt|; ``h_norms``
-    are the |h|_F.  The Taylor polynomial of the degree `_taylor_degree`
-    picks for the largest of these norms stands in for exp(z); norms above 1
-    are first halved s times and the result squared back.  Both branches
-    evaluate it with `_horner`.  A real stack is real symmetric, so
-    exp(-i h dt) = cos Y - i sin Y with Y = h dt.  With W = Y Y, the even
-    terms sum to cos Y = sum_k (-1)^k W^k/(2k)! over 2k <= q and the odd ones
-    to sin Y = Y sum_k (-1)^k W^k/(2k+1)! over 2k+1 <= q, by real 4x4
-    products, written as [[cos Y, sin Y], [-sin Y, cos Y]].  A complex stack
-    takes the polynomial of z itself, in the 8x8 form.
+    of z = -i h dt, whose Frobenius norm is sqrt(2)*|h|_F*|dt|.  The Taylor
+    polynomial of the degree `_taylor_degree` picks for the largest of these
+    norms stands in for exp(z); norms above 1 are first halved s times and
+    the result squared back.  Both branches evaluate it with `_horner`.  A
+    real stack is real symmetric, so exp(-i h dt) = cos Y - i sin Y with
+    Y = h dt.  With W = Y Y, the even terms sum to cos Y = sum_k (-1)^k
+    W^k/(2k)! over 2k <= q and the odd ones to sin Y = Y sum_k (-1)^k
+    W^k/(2k+1)! over 2k+1 <= q, by real 4x4 products, written as
+    [[cos Y, sin Y], [-sin Y, cos Y]].  A complex stack takes the polynomial
+    of z itself, in the 8x8 form.
     """
-    theta = math.sqrt(2.0) * abs(dt) * float(h_norms.max())
+    with np.errstate(over="ignore"):  # an overflowing norm is named below
+        theta = math.sqrt(2.0) * abs(dt) * float(np.linalg.norm(h, axis=(-2, -1)).max())
     if not math.isfinite(theta):
         if np.isfinite(h).all():  # entries above ~1e154 square past the largest double
             raise ValueError(f"step norm of a finite Hamiltonian overflows (theta = {theta!r})")
@@ -388,9 +387,7 @@ def _midpoint_propagator(
     for start in range(0, n_steps, _BLOCK_STEPS):
         k = np.arange(start, min(start + _BLOCK_STEPS, n_steps))
         h = hamiltonians_at(t0 + (k + 0.5) * dt)
-        with np.errstate(over="ignore"):  # an overflowing norm is named by _step_exponentials
-            norms = np.linalg.norm(h, axis=(-2, -1))
-        u = _ordered_product(_step_exponentials(h, dt, norms)) @ u
+        u = _ordered_product(_step_exponentials(h, dt)) @ u
     return Propagator(u[:4, :4] + 1j * u[4:, :4])
 
 

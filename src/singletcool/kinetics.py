@@ -31,7 +31,8 @@ engine's (a, b) is (0, -1).
 
 The calibration is these two closed-form rates and nothing more: the mode rates hold by
 construction, to round-off, for every finite 0 < T1 < TS (tests/test_kinetics.py checks
-them up to TS/T1 = 1e10), so no run re-derives them.
+them up to TS/T1 = 1e10), so no run re-derives them.  `kinetic_engine` takes the two
+rates afresh for each run and builds no generator; only `RateMatrix` carries one.
 
 Singlet order is a left eigenvector of every relaxation map with eigenvalue
 e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
@@ -124,11 +125,8 @@ class RateMatrix(_Checked, _RateFields):
         return super().__new__(cls, arr, k_t, k_s, eps)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
-    """The rate matrix whose ZO mode decays at 1/t1 and SO mode at 1/ts, in closed form:
-    k_S = 1/ts and k_T = 1/t1 - 1/ts, with the generator read off the parts at eps.
-    Memoized per (t1, ts, eps); failures are not cached.
+def _rates(t1: float, ts: float) -> tuple[float, float]:
+    """The closed-form rates (k_T, k_S) = (1/t1 - 1/ts, 1/ts).
 
     Raises:
         ValueError: unless t1 and ts are finite with 0 < t1 < ts (k_T would be
@@ -141,8 +139,14 @@ def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
     # float() keeps a numpy scalar from warning
     if math.isinf(1.0 / float(t1)):
         raise ValueError(f"relaxation rate 1/t1 = inf: t1 = {float(t1)!r} is too small")
-    k_s = 1.0 / ts
-    k_t = 1.0 / t1 - 1.0 / ts
+    return 1.0 / t1 - 1.0 / ts, 1.0 / ts
+
+
+def calibrate_rates(t1: float, ts: float, eps: float = 0.0) -> RateMatrix:
+    """The rate matrix whose ZO mode decays at 1/t1 and SO mode at 1/ts: the rates of
+    `_rates`, with the generator read off the parts at eps.  Built afresh on each call, for
+    readers of R and `finite_reset`; raises as `_rates` does."""
+    k_t, k_s = _rates(t1, ts)
     return RateMatrix(r=_generator(k_t, k_s, eps), k_t=k_t, k_s=k_s, eps=eps)
 
 
@@ -189,11 +193,12 @@ def _check_intervals(tau: float, tau_ev: float = 0.0, tau_prime: Optional[float]
 
 
 def kinetic_engine(params: SpinSystemParams) -> PopulationEngine:
-    """The engine of the rates calibrated to ``params``: the deviation from thermal relaxes
-    under the eps = 0 generator (first order in eps), and singlet order decays at 1/TS."""
-    eps = epsilon(params)
-    rate = calibrate_rates(params.t1, params.ts, eps)
-    return PopulationEngine(eps, functools.partial(_decay_factors, rate.k_t, rate.k_s), params.ts)
+    """The engine of the rates of ``params``: the deviation from thermal relaxes under the
+    eps = 0 generator (first order in eps), and singlet order decays at 1/TS.  It steps
+    with the decay factors of the two rates of `_rates` and builds no generator."""
+    eps = epsilon(params)  # first, so that a lifetime `_rates` rejects still warns of the regime
+    decay = functools.partial(_decay_factors, *_rates(params.t1, params.ts))
+    return PopulationEngine(eps, decay, params.ts)
 
 
 def run_kinetic(

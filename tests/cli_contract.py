@@ -272,6 +272,8 @@ CASES = [
     *(Case(f"{command} --mode coherent-check", 1, (config_error("unknown mode 'coherent-check'"),))
       for command in ("pump", "sweep-tau", "decay", "enhance", "coherent-check")),
     Case("pump --frequency 3", 1, (config_error("unrecognized arguments: --frequency 3"),)),
+    # flags are not abbreviated, as config-file keys are not
+    Case("enhance --temp 300", 1, (config_error("unrecognized arguments: --temp 300"),)),
     Case("sweep-tau --np 6", 1, (config_error("sweep-tau requires --tau-grid"),)),
     Case("sweep-tau --np 6 --tau-grid 10,5,1", 1,
          (config_error("tau-grid must be strictly increasing"),)),
@@ -333,10 +335,14 @@ CASES = [
         "pump", "pump --mode ideal", "enhance", "sweep-tau --tau-grid 1,2,3",
         "decay --tau-ev-grid 0,50,100",
     )),
-    # a relaxation rate 1/t1 that overflows is named before the generator is built
+    # a relaxation rate 1/t1 that overflows is named before any pump
     *(Case(f"pump --t1 {t1} --ts {ts}", 2,
            (failure(f"relaxation rate 1/t1 = inf: t1 = {t1} is too small"),))
       for t1, ts in (("1e-320", "1"), ("5e-324", "1e-323"))),
+    # ... and followed by the regime warning of its eps
+    Case("enhance --t1 1e-320 --ts 1 --temperature 0.5", 2,
+         (failure("relaxation rate 1/t1 = inf: t1 = 1e-320 is too small"),
+          high_temperature("0.0169"))),
     # an infinite spin frequency is named before any step
     Case("coherent-check --j 1e308 --n-steps 10", 2,
          (failure("non-finite frequency 2*pi*J = inf rad/s"),)),

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singletcool
-from cli_contract import CASES, misses, run_as_process, run_in_process, run_python
+from cli_contract import CASES, Result, misses, run_as_process, run_in_process, run_python
 from singletcool import coherent, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
@@ -21,6 +22,7 @@ from singletcool.cli import (
     RunConfig,
     _build_parser,
     build_config,
+    entry_point,
     main,
 )
 
@@ -57,6 +59,23 @@ def test_contract_as_a_process(argv):
     # CI runs every case this way (python3 tests/cli_contract.py)
     (case,) = [case for case in CASES if case.argv == argv]
     assert misses(case, run_as_process) == []
+
+
+def run_entry_point(argv: str) -> Result:
+    """The `singletcool` console script's run of ``argv``: entry_point exits with the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.object(sys, "argv", ["singletcool", *argv.split()]),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          pytest.raises(SystemExit) as info):
+        entry_point()
+    return Result(info.value.code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", ["pump --mode ideal --np 2", "enhance --temp 300"])
+def test_entry_point_exits_with_the_outcome_of_main(argv):
+    # the console script's entry point, which `python -m singletcool.cli` never runs
+    (case,) = [case for case in CASES if case.argv == argv]
+    assert misses(case, run_entry_point) == []
 
 
 class TestPumpCommand:

@@ -448,7 +448,7 @@ class TestStepExponentials:
         h = x + x.conj().swapaxes(-1, -2)
         dt = -0.25  # a negative step runs the evolution backwards
         h *= (norm / abs(dt) / np.linalg.norm(h, axis=(-2, -1)))[:, None, None]
-        real = coherent._step_exponentials(h, dt, np.linalg.norm(h, axis=(-2, -1)))
+        real = coherent._step_exponentials(h, dt)
         expected = np.array([expm(-1j * hk * dt) for hk in h])
         atol = 1e-13 * max(1.0, norm)
         np.testing.assert_allclose(real[:, :4, :4] + 1j * real[:, 4:, :4], expected, rtol=0, atol=atol)
@@ -476,7 +476,7 @@ class TestStepExponentials:
         theta = math.sqrt(2.0) * norm
         if norm <= 1e-8:
             assert coherent._taylor_degree(theta) == 1
-        real = coherent._step_exponentials(h, dt, np.linalg.norm(h, axis=(-2, -1)))
+        real = coherent._step_exponentials(h, dt)
         expected = np.array([expm(-1j * hk * dt) for hk in h])
         atol = 1e-13 * max(1.0, norm)
         np.testing.assert_allclose(real[:, :4, :4] + 1j * real[:, 4:, :4], expected, rtol=0, atol=atol)
@@ -490,9 +490,8 @@ class TestStepExponentials:
         # stack and in the 8x8 form of the same stack cast to complex
         dt = -0.25
         h = self._real_symmetric_stack(norm, dt)
-        norms = np.linalg.norm(h, axis=(-2, -1))
-        real = coherent._step_exponentials(h, dt, norms)
-        general = coherent._step_exponentials(h.astype(complex), dt, norms)
+        real = coherent._step_exponentials(h, dt)
+        general = coherent._step_exponentials(h.astype(complex), dt)
         np.testing.assert_allclose(real, general, rtol=0, atol=1e-14 * max(1.0, norm))
 
     @pytest.mark.parametrize("d", [4, 8])
@@ -520,7 +519,7 @@ class TestStepExponentials:
     def test_rejects_a_nan_stack(self):
         h = np.full((2, 4, 4), np.nan)
         with pytest.raises(ValueError, match=re.escape("non-finite Hamiltonian step norm")):
-            coherent._step_exponentials(h, 0.25, np.linalg.norm(h, axis=(-2, -1)))
+            coherent._step_exponentials(h, 0.25)
 
 
 class TestPropagator:
@@ -674,9 +673,9 @@ class TestSimulatePermutation:
         rf_x = (ops.i1x + ops.i2x).real
         stacks, step = [], coherent._step_exponentials
 
-        def recorded(h, dt, norms):
+        def recorded(h, dt):
             stacks.append(h)
-            return step(h, dt, norms)
+            return step(h, dt)
 
         monkeypatch.setattr(coherent, "_step_exponentials", recorded)
         n_steps = coherent._BLOCK_STEPS + 7

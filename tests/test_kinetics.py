@@ -110,15 +110,29 @@ class TestCalibrateRates:
                 calibrate_rates(t1, ts)
         assert str(info.value) == f"relaxation rate 1/t1 = inf: t1 = {float(t1)!r} is too small"
 
-    def test_memoized_rate_matrix_is_shared_and_read_only(self):
+    def test_rate_matrix_is_read_only(self):
         rate = calibrate_rates(7.36, 214.0, 3e-5)
-        assert calibrate_rates(7.36, 214.0, 3e-5) is rate
         with pytest.raises(ValueError, match="read-only"):
             rate.r[0, 0] = 1.0
 
-    def test_memo_is_bounded(self):
-        # one entry per spin system; a bound keeps memory flat however many are drawn
-        assert calibrate_rates.cache_info().maxsize is not None
+    def test_no_reader_builds_the_generator(self, monkeypatch, capsys):
+        # an engine steps with the two rates alone: no kinetic reader and no kinetic CLI
+        # run builds R or its parts, for a spin system no other test uses
+        from singletcool.cli import main
+
+        def unread(*args):
+            raise AssertionError("the generator or its parts were built")
+
+        monkeypatch.setattr(kinetics, "_generator", unread)
+        monkeypatch.setattr(kinetics, "_map_parts", unread)
+        params = SpinSystemParams(t1=7.3612345, ts=231.25)
+        assert run_kinetic(6, 28.0, 10.0, params, enhance=True).zo_final is not None
+        assert len(sweep_tau(4, [1.0, 10.0, 100.0], params).points) == 3
+        assert len(decay_curve(6, 28.0, [0.0, 50.0, 100.0], params)) == 3
+        assert zeeman_enhancement_ratio(6, 28.0, 18.0, params) > 1.0
+        for command in ("pump", "enhance"):
+            assert main([command, "--t1", "7.3612345", "--ts", "231.25"]) == 0
+        assert capsys.readouterr().err == ""
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(
