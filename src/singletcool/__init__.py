@@ -12,9 +12,11 @@ Three fidelity layers simulate the same pumping protocol:
 `singletcool.cli` exposes the command-line front end (``singletcool``).
 
 Every public name is listed once, in ``_EXPORTS`` with its module, and is read from
-that module when accessed (PEP 562).  `kinetics`, which imports numpy, is imported on
-first access to one of its names, as are ``SINGLET_ORDER`` and ``ZEEMAN_ORDER``;
-``import singletcool`` imports no numpy.
+that module when accessed (PEP 562).  `kinetics` is imported on first access to one of
+its names, as are ``SINGLET_ORDER`` and ``ZEEMAN_ORDER``, which build arrays.  numpy is
+imported where an array is built, not with a module: ``import singletcool`` and
+``import singletcool.kinetics`` import none, and neither does a pump of either
+population engine over one reset interval.
 """
 
 import importlib

@@ -16,9 +16,10 @@ values regenerate the reference scenario of the bundled 13C2 spin pair.
 
 In pump and enhance, --mode picks the library's population engine, ideal or
 kinetic, and each command reads its rows off one checked pump of that engine.
-The engines `kinetics` and `coherent` are imported on demand, so numpy is too:
-pump and enhance in ideal mode run on Python floats and never import it (numpy
-loads only to report a state off the simplex).
+The engines `kinetics` and `coherent` are imported on demand, and numpy with a
+grid or a pulse: pump and enhance run on Python floats in both modes and never
+import it (numpy loads only to report a state off the simplex), while sweep-tau,
+decay and coherent-check load it.
 """
 
 from __future__ import annotations

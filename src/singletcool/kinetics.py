@@ -27,7 +27,8 @@ tau -> infinity gives complete rethermalization (P_eq).  The ideal triplet reset
 Theta is the same map with (e^{-k_S tau}, e^{-(k_T+k_S) tau}) set to (1, 0), its
 T1 << tau << TS limit.  The engine steps with the two factors alone, as
 a = expm1(-k_S tau) and b = expm1(-(k_T+k_S) tau) in `protocol._reset`; the ideal
-engine's (a, b) is (0, -1).
+engine's (a, b) is (0, -1).  Both come from `math.expm1`, for one interval and for each
+element of a stack, so their bits do not depend on numpy's CPU dispatch.
 
 The calibration is these two closed-form rates and nothing more: the mode rates hold by
 construction, to round-off, for every finite 0 < T1 < TS (tests/test_kinetics.py checks
@@ -47,6 +48,11 @@ in eps.  The thermal state is an exact null vector of R, so the deviation
 from thermal relaxes under the eps-independent generator and the sole
 eps-dependence of any run is the linear thermal source.
 
+numpy is imported where an array is built, as in `core` and `protocol`, not with the
+module: `kinetic_engine`, its pump of one interval and `zeeman_enhancement_ratio` run on
+Python floats.  A grid (`check_grid`, `sweep_tau`, `decay_curve`), `RateMatrix`,
+`finite_reset`, the `PopulationVector` of `run_kinetic` and the fit load numpy.
+
 `RateMatrix`, `KineticProtocolResult`, `TauSweep` and `FitResult` are immutable
 NamedTuples, like every value type of the package (see `core`): ``_replace``
 derives a changed copy, and a result compares equal to the plain tuple of its fields.
@@ -56,12 +62,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .core import PopulationVector, SpinSystemParams, _Checked, epsilon
 from .protocol import PopulationEngine, TransferMatrix, _reset_matrix, _so_of_deviation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FIT_MAX_STEPS = 200  # Gauss-Newton steps, and halvings of each
 _FIT_RTOL = 1e-13
@@ -70,6 +77,8 @@ _FIT_RTOL = 1e-13
 def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tau-independent parts (I, Theta - P_eq, I - Theta) at eps, built afresh on each
     call; every column of P_eq is the thermal vector."""
+    import numpy as np
+
     thermal = np.array([1.0, 1.0 + eps, 1.0, 1.0 - eps]) / 4.0
     p_eq = np.tile(thermal.reshape(4, 1), (1, 4))
     theta = _reset_matrix(eps)
@@ -88,13 +97,19 @@ def _generator(k_t: float, k_s: float, eps: float) -> np.ndarray:
 def _decay_factors(k_t: float, k_s: float, tau: float | np.ndarray) -> tuple:
     """(a, b) = (expm1(-k_S tau), expm1(-(k_T + k_S) tau)): the departures from 1 of the
     decay factors of Theta - P_eq and I - Theta over an interval tau, the factors of
-    `protocol._reset` and of `finite_reset`.  Python floats for one interval, arrays of
-    tau's shape for an array of them, every element from numpy's expm1, so that a stack
-    equals its scalar calls bit for bit.  A k*tau past float64 is exact: expm1(-inf) = -1."""
+    `protocol._reset` and of `finite_reset`.  Python floats for one interval (a 0-d array
+    included), arrays of tau's shape for an array of them.  Every element is `math.expm1`
+    of its product, so a stack equals its scalar calls bit for bit, and the bits do not
+    depend on numpy's CPU dispatch.  A k*tau past float64 is exact: expm1(-inf) = -1."""
+    if not getattr(tau, "ndim", 0):  # float() keeps a numpy scalar from warning
+        return math.expm1(-k_s * float(tau)), math.expm1(-(k_t + k_s) * float(tau))
+    import numpy as np
+
     taus = np.asarray(tau, dtype=float)
     with np.errstate(over="ignore"):
-        a, b = np.expm1(-k_s * taus), np.expm1(-(k_t + k_s) * taus)
-    return (a, b) if taus.ndim else (float(a), float(b))
+        xs = (-k_s * taus, -(k_t + k_s) * taus)
+    return tuple(np.fromiter(map(math.expm1, x.ravel().tolist()), float, x.size).reshape(x.shape)
+                 for x in xs)
 
 
 class _RateFields(NamedTuple):
@@ -120,6 +135,8 @@ class RateMatrix(_Checked, _RateFields):
     __slots__ = ()
 
     def __new__(cls, r, k_t, k_s, eps):
+        import numpy as np
+
         arr = np.array(r, dtype=float, copy=True)
         arr.flags.writeable = False
         return super().__new__(cls, arr, k_t, k_s, eps)
@@ -256,6 +273,8 @@ class TauSweep(NamedTuple):
 
 def check_grid(grid: Sequence[float], name: str) -> np.ndarray:
     """The grid as a float array; raises unless nonempty, strictly increasing and >= 0."""
+    import numpy as np
+
     arr = np.asarray(grid, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
@@ -277,7 +296,7 @@ def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> 
     engine = kinetic_engine(params)
     sig = engine.signal(engine.pump(n_p, grid)[-1])
     points = tuple(zip(grid.tolist(), sig.tolist()))
-    best = int(np.argmax(np.abs(sig)))  # the first maximum
+    best = int(abs(sig).argmax())  # the first maximum
     return TauSweep(points=points, tau_star=points[best][0], signal_star=points[best][1])
 
 
@@ -314,6 +333,8 @@ class FitResult(NamedTuple):
 def _projected_fit(k: float, t: np.ndarray,
                    y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """A(k) = (e.y)/(e.e), residual r, Kaufman Jacobian and r.r of y ~ A e, e = exp(-k t)."""
+    import numpy as np
+
     e = np.exp(-k * t)
     ee, te = e @ e, t * e
     a = (e @ y) / ee  # numpy scalars: an e that underflows to 0 gives nan, not an error
@@ -324,6 +345,8 @@ def _projected_fit(k: float, t: np.ndarray,
 def _seed_rate(t: np.ndarray, y: np.ndarray) -> float:
     """Minus the centred least-squares slope of log|y| on t over the nonzero y, in closed
     form, or 1/(t spread) where those points span one time or the slope is not finite."""
+    import numpy as np
+
     nz = y != 0.0
     tm, ly = t[nz], np.log(np.abs(y[nz]))
     tc = tm - tm.mean()
@@ -342,6 +365,8 @@ def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
     overshoot on noisy data.  At least 3 finite (t, y) pairs with nonnegative times
     are required.
     """
+    import numpy as np
+
     try:  # the columns (t, y) of points that are pairs; anything else fails below
         pts = np.array(tuple(zip(*points, strict=True)), dtype=float)
     except (TypeError, ValueError):

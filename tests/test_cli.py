@@ -27,9 +27,10 @@ from singletcool.cli import (
 )
 
 COMMANDS = ["pump", "sweep-tau", "decay", "enhance", "coherent-check"]
-#: The contract's successful ideal-mode runs, which run on Python floats alone.
-IDEAL_CASES = [case for case in CASES
-               if case.code == EXIT_OK and re.match(r"(pump|enhance) --mode ideal ", case.argv)]
+#: The contract's successful pump and enhance runs, in both modes, which run on Python
+#: floats alone.
+POPULATION_CASES = [case for case in CASES
+                    if case.code == EXIT_OK and re.match(r"(pump|enhance) ", case.argv)]
 
 
 def run_cli(tmp_path, name, *args):
@@ -481,8 +482,8 @@ class TestEngineBoundary:
 
 
 class TestImportFootprint:
-    def test_ideal_runs_import_no_numpy_dataclasses_or_inspect(self):
-        # each ideal run, in a fresh interpreter, loads none of these modules
+    def test_population_runs_import_no_numpy_dataclasses_or_inspect(self):
+        # each pump and enhance run, in a fresh interpreter, loads none of these modules
         probe = (
             "import contextlib, io, sys\n"
             "from singletcool.cli import main\n"
@@ -490,17 +491,31 @@ class TestImportFootprint:
             "    code = main(sys.argv[1:])\n"
             "print(code, sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
-        assert len(IDEAL_CASES) == 4
-        for case in IDEAL_CASES:
+        modes = {"--mode ideal" in case.argv for case in POPULATION_CASES}
+        assert len(POPULATION_CASES) == 12 and modes == {True, False}
+        for case in POPULATION_CASES:
             proc = run_python("-c", probe, *case.argv.split())
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", ""), case.argv
 
-    @pytest.mark.parametrize("case", IDEAL_CASES, ids=[case.argv for case in IDEAL_CASES])
-    def test_ideal_runs_are_the_same_with_numpy_unimportable(self, case):
+    @pytest.mark.parametrize("case", POPULATION_CASES,
+                             ids=[case.argv for case in POPULATION_CASES])
+    def test_population_runs_are_the_same_with_numpy_unimportable(self, case):
         code = ("import sys; sys.modules['numpy'] = None; "
                 "from singletcool.cli import main; sys.exit(main(sys.argv[1:]))")
         blocked = run_python("-c", code, *case.argv.split())
         assert (blocked.returncode, blocked.stdout, blocked.stderr) == run_as_process(case.argv)
+
+    def test_kinetics_and_a_kinetic_pump_import_no_numpy(self):
+        probe = (
+            "import sys\n"
+            "from singletcool.core import SpinSystemParams\n"
+            "from singletcool.kinetics import kinetic_engine\n"
+            "print('numpy' in sys.modules)\n"
+            "states = kinetic_engine(SpinSystemParams()).pump(40, 28.0)\n"
+            "print(len(states), 'numpy' in sys.modules)\n"
+        )
+        proc = run_python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n41 False\n", "")
 
     def test_every_public_name_resolves(self):
         # kinetics and the observables are imported on first access, a star import included

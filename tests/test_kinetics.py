@@ -297,9 +297,8 @@ class TestCachedMapParts:
     @staticmethod
     def _uncached_map(k_t, k_s, eps, tau):
         theta, p_eq = _theta_and_p_eq(eps)
-        eye, tau = np.eye(4), np.float64(tau)
-        with np.errstate(over="ignore"):
-            a, b = np.expm1(-k_s * tau), np.expm1(-(k_t + k_s) * tau)
+        eye = np.eye(4)
+        a, b = math.expm1(-k_s * tau), math.expm1(-(k_t + k_s) * tau)
         return eye + a * (theta - p_eq) + b * (eye - theta)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -326,6 +325,47 @@ class TestCachedMapParts:
         for part in _map_parts(rate.eps):
             part[...] = np.nan
         assert finite_reset(rate, 28.0).m.tobytes() == first.tobytes() == second.tobytes()
+
+
+class TestDecayFactors:
+    # every factor is math.expm1 of its product, one element at a time for an array
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        k_t=st.floats(1e-6, 1e6),
+        k_s=st.floats(1e-9, 1e3),
+        taus=st.lists(st.one_of(st.sampled_from([0.0, math.inf]), _TAUS), min_size=1,
+                      max_size=12),
+    )
+    def test_each_element_is_math_expm1_and_the_scalar_call(self, k_t, k_s, taus):
+        a, b = _decay_factors(k_t, k_s, np.array(taus))
+        want = [(math.expm1(-k_s * tau), math.expm1(-(k_t + k_s) * tau)) for tau in taus]
+        got = list(zip(a.tolist(), b.tolist()))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        scalar = [_decay_factors(k_t, k_s, tau) for tau in taus]
+        assert np.array(scalar).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("k, tau", [(1e300, 1e10), (0.1, math.inf), (1e300, math.inf)])
+    def test_past_float64_is_exactly_minus_one_without_a_warning(self, k, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = _decay_factors(k, k, tau)
+            zero_d = _decay_factors(k, k, np.array(tau))
+            stack = _decay_factors(k, k, np.array([tau, tau]))
+        assert scalar == zero_d == (-1.0, -1.0)
+        assert [x.tolist() for x in stack] == [[-1.0, -1.0], [-1.0, -1.0]]
+
+    def test_a_0d_array_gives_python_floats(self):
+        got = _decay_factors(0.13, 0.0047, np.array(28.0))
+        assert [type(x) for x in got] == [float, float]
+        assert got == _decay_factors(0.13, 0.0047, 28.0)
+
+    def test_an_array_keeps_its_shape(self):
+        taus = np.array([[0.0, 1.0, 28.0], [3.0, 1e3, math.inf]])
+        a, b = _decay_factors(0.13, 0.0047, taus)
+        assert a.shape == b.shape == taus.shape
+        assert a.tolist() == [[_decay_factors(0.13, 0.0047, t)[0] for t in row]
+                              for row in taus.tolist()]
 
 
 class TestRunKinetic:
