@@ -16,7 +16,8 @@ that module when accessed (PEP 562).  `kinetics` is imported on first access to 
 its names, as are ``SINGLET_ORDER`` and ``ZEEMAN_ORDER``, which build arrays.  numpy is
 imported where an array is built, not with a module: ``import singletcool`` and
 ``import singletcool.kinetics`` import none, and neither does a pump of either
-population engine over one reset interval.
+population engine over one reset interval, nor a sweep, decay curve or fit of up to
+16 points.
 """
 
 import importlib

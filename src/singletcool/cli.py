@@ -17,9 +17,10 @@ values regenerate the reference scenario of the bundled 13C2 spin pair.
 In pump and enhance, --mode picks the library's population engine, ideal or
 kinetic, and each command reads its rows off one checked pump of that engine.
 The engines `kinetics` and `coherent` are imported on demand, and numpy with a
-grid or a pulse: pump and enhance run on Python floats in both modes and never
-import it (numpy loads only to report a state off the simplex), while sweep-tau,
-decay and coherent-check load it.
+long grid or a pulse: pump and enhance run on Python floats in both modes, and so
+do sweep-tau and decay on grids of up to 16 points, failures included; none of
+them imports numpy.  A longer sweep-tau grid is pumped as one numpy stack, a
+longer decay curve is fitted on numpy arrays, and coherent-check loads numpy.
 """
 
 from __future__ import annotations

@@ -30,9 +30,10 @@ The value types of this package (`SpinSystemParams`, `PopulationVector` and
 Array fields are read-only copies.  Like any tuple, a value type compares equal
 to the plain tuple of its fields.
 
-numpy is imported where an array is built, not with the module: `epsilon` and the
-population engines of `protocol` run on Python floats, and ``ZEEMAN_ORDER`` and
-``SINGLET_ORDER`` are built on first access.
+numpy is imported where an array is built, not with the module: `epsilon`, the
+population checks of the engines' states and the population engines of `protocol`
+run on Python floats, and ``ZEEMAN_ORDER`` and ``SINGLET_ORDER`` are built on first
+access.
 """
 
 from __future__ import annotations
@@ -122,6 +123,18 @@ class SpinSystemParams(_Checked, _SpinSystemFields):
         return self
 
 
+def _check_populations(p: list[float]) -> None:
+    """PopulationVector's checks on four Python floats: none below -POPULATION_TOL, and
+    their sum, added in numpy's order for four, within POPULATION_TOL of 1 (a nan fails
+    it).  Raises ValueError with PopulationVector's message."""
+    low = min(p)  # a nan in p makes numpy's min nan, which passes: the sum fails it
+    if low < -POPULATION_TOL and not any(map(math.isnan, p)):
+        raise ValueError(f"negative population {low:.3e} beyond tolerance")
+    total = float(p[0] + p[1] + p[2] + p[3])  # a numpy scalar would print as np.float64(...)
+    if not abs(total - 1.0) <= POPULATION_TOL:
+        raise ValueError(f"populations sum to {total!r}, not 1")
+
+
 class _PopulationFields(NamedTuple):
     p: np.ndarray
 
@@ -143,10 +156,7 @@ class PopulationVector(_Checked, _PopulationFields):
         arr = np.array(p, dtype=float, copy=True)
         if arr.shape != (4,):
             raise ValueError(f"population vector needs exactly 4 entries, got shape {arr.shape}")
-        if arr.min() < -POPULATION_TOL:
-            raise ValueError(f"negative population {arr.min():.3e} beyond tolerance")
-        if not abs(arr.sum() - 1.0) <= POPULATION_TOL:
-            raise ValueError(f"populations sum to {arr.sum()!r}, not 1")
+        _check_populations(arr.tolist())
         arr[arr < 0.0] = 0.0
         arr.flags.writeable = False
         return super().__new__(cls, arr)

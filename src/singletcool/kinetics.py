@@ -40,8 +40,8 @@ e^{-k_S tau}, so free evolution for tau_ev after the pump only rescales the
 pumped SO by e^{-tau_ev/TS}.  Every kinetic output is therefore read off one
 pump of `kinetic_engine`, the `protocol.PopulationEngine` of these maps: the
 build-up is the SO of every row, a decay curve scales the signal of the last row,
-the enhancement ratio enhances the last row, and a tau sweep pumps the arrays of
-its grid's decay factors as one stack.
+the enhancement ratio enhances the last row, and a tau sweep pumps each point of a
+short grid on floats, or the arrays of a long grid's decay factors as one stack.
 
 Engine semantics match `protocol`: populations are carried to first order
 in eps.  The thermal state is an exact null vector of R, so the deviation
@@ -49,9 +49,14 @@ from thermal relaxes under the eps-independent generator and the sole
 eps-dependence of any run is the linear thermal source.
 
 numpy is imported where an array is built, as in `core` and `protocol`, not with the
-module: `kinetic_engine`, its pump of one interval and `zeeman_enhancement_ratio` run on
-Python floats.  A grid (`check_grid`, `sweep_tau`, `decay_curve`), `RateMatrix`,
-`finite_reset`, the `PopulationVector` of `run_kinetic` and the fit load numpy.
+module: `kinetic_engine`, its pump of one interval, `zeeman_enhancement_ratio`,
+`check_grid` and `decay_curve` run on Python floats, and so do `sweep_tau` and
+`fit_monoexponential` on at most `_FLOAT_POINTS` (16) points.  A longer grid or curve
+runs on numpy arrays, which are faster there in process: `sweep_tau` pumps it as one
+stack, bit-equal to a pump per point, and the fit takes numpy's exp and dot products,
+where a short fit takes math.exp and dot products correctly rounded by math.fsum (the
+two differ in the last digits).  `RateMatrix`, `finite_reset` and the `PopulationVector`
+of `run_kinetic` load numpy.
 
 `RateMatrix`, `KineticProtocolResult`, `TauSweep` and `FitResult` are immutable
 NamedTuples, like every value type of the package (see `core`): ``_replace``
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .core import PopulationVector, SpinSystemParams, _Checked, epsilon
@@ -72,6 +78,9 @@ if TYPE_CHECKING:
 
 _FIT_MAX_STEPS = 200  # Gauss-Newton steps, and halvings of each
 _FIT_RTOL = 1e-13
+#: A grid or a decay curve of at most this many points runs on Python floats, a longer one
+#: on numpy arrays (`sweep_tau`, `fit_monoexponential`).
+_FLOAT_POINTS = 16
 
 
 def _map_parts(eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,33 +280,45 @@ class TauSweep(NamedTuple):
     signal_star: float
 
 
-def check_grid(grid: Sequence[float], name: str) -> np.ndarray:
-    """The grid as a float array; raises unless nonempty, strictly increasing and >= 0."""
-    import numpy as np
-
-    arr = np.asarray(grid, dtype=float)
-    if arr.size == 0:
+def check_grid(grid: Sequence[float], name: str) -> list[float]:
+    """The grid as a list of Python floats; raises unless it is a nonempty sequence of
+    numbers, strictly increasing and >= 0."""
+    if getattr(grid, "ndim", 1) != 1:  # a numpy array of another rank
+        raise ValueError(f"{name} must be a sequence of numbers")
+    try:
+        values = list(map(float, grid))
+    except (TypeError, ValueError):  # a nested or ragged grid, or an entry not a number
+        raise ValueError(f"{name} must be a sequence of numbers") from None
+    if not values:
         raise ValueError(f"{name} must be nonempty")
-    if arr.ndim != 1 or (arr.size > 1 and not np.all(np.diff(arr) > 0)):
+    if not all(map(operator.lt, values, values[1:])):
         raise ValueError(f"{name} must be strictly increasing")
-    if not arr.min() >= 0.0:
+    if not values[0] >= 0.0:
         raise ValueError(f"{name} entries must be >= 0")
-    return arr
+    return values
 
 
 def sweep_tau(n_p: int, tau_grid: Sequence[float], params: SpinSystemParams) -> TauSweep:
     """Signal versus reset duration, from one pump over the whole grid.
 
-    The maps of the grid points are pumped as one stack and the signals read off
-    its last state, one row per point, in grid order; each equals ``run_kinetic(n_p,
-    tau, 0.0, params).signal``.  The optimum is the first point of largest magnitude.
+    A grid of at most `_FLOAT_POINTS` points is pumped one point at a time on Python
+    floats, a longer one as one stack of numpy arrays; the two are bit-equal.  The
+    signals are read off the last states, one row per point, in grid order; each equals
+    ``run_kinetic(n_p, tau, 0.0, params).signal``.  The optimum is the first point of
+    largest magnitude.
     """
     grid = check_grid(tau_grid, "tau_grid")
     engine = kinetic_engine(params)
-    sig = engine.signal(engine.pump(n_p, grid)[-1])
-    points = tuple(zip(grid.tolist(), sig.tolist()))
-    best = int(abs(sig).argmax())  # the first maximum
-    return TauSweep(points=points, tau_star=points[best][0], signal_star=points[best][1])
+    if len(grid) <= _FLOAT_POINTS:
+        sig = [engine.signal(states[-1]) for states in engine.pump(n_p, grid)]
+        mag = list(map(abs, sig))
+        best = mag.index(max(mag))  # the first maximum
+    else:
+        import numpy as np
+
+        stack = engine.signal(engine.pump(n_p, np.array(grid))[-1])
+        sig, best = stack.tolist(), int(abs(stack).argmax())  # the first maximum
+    return TauSweep(points=tuple(zip(grid, sig)), tau_star=grid[best], signal_star=sig[best])
 
 
 def decay_curve(
@@ -311,8 +332,7 @@ def decay_curve(
     _check_intervals(tau)
     engine = kinetic_engine(params)
     s0 = engine.signal(engine.pump(n_p, tau)[-1])
-    # math.exp, not np.exp, which rounds differently on some inputs
-    return tuple((tev, s0 * math.exp(-tev / engine.ts)) for tev in grid.tolist())
+    return tuple((tev, s0 * math.exp(-tev / engine.ts)) for tev in grid)
 
 
 class FitResult(NamedTuple):
@@ -330,16 +350,50 @@ class FitResult(NamedTuple):
     message: str = ""
 
 
-def _projected_fit(k: float, t: np.ndarray,
-                   y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """A(k) = (e.y)/(e.e), residual r, Kaufman Jacobian and r.r of y ~ A e, e = exp(-k t)."""
+def _projected_fit(k: float, t: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """(A, r.r, g, c) of y ~ A e, e = exp(-k t), on numpy arrays: the projected amplitude
+    A = (e.y)/(e.e), the residual r = y - A e, the exact gradient g = J.r of |r|^2/2 in k
+    and the Gauss-Newton curvature c = J.J, with Kaufman's Jacobian J.  An exp that
+    overflows, or an e that underflows to 0, gives nans, not an error: a rejected trial."""
     import numpy as np
 
     e = np.exp(-k * t)
     ee, te = e @ e, t * e
-    a = (e @ y) / ee  # numpy scalars: an e that underflows to 0 gives nan, not an error
+    a = (e @ y) / ee
     r = y - a * e
-    return a, r, a * (te - ((e @ te) / ee) * e), float(r @ r)
+    jac = a * (te - ((e @ te) / ee) * e)
+    return a, float(r @ r), float(jac @ r), float(jac @ jac)
+
+
+def _fsum(values: list[float]) -> float:
+    """The sum of Python floats, correctly rounded by math.fsum; where fsum raises, on an
+    inf - inf or a sum past float range, the plain sum's nan or inf, as numpy gives."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
+def _dot(u: list[float], v: list[float]) -> float:
+    """The dot product of two lists of Python floats, summed by `_fsum`."""
+    return _fsum(list(map(operator.mul, u, v)))
+
+
+def _projected_fit_floats(k: float, t: list[float],
+                          y: list[float]) -> tuple[float, float, float, float]:
+    """`_projected_fit` on lists of Python floats, each dot product by `_dot`.  Python
+    raises where numpy returns inf or nan: an exp that overflows, or an e.e of 0, gives the
+    nans of a rejected trial here, as it does in numpy."""
+    try:
+        e = [math.exp(-k * ti) for ti in t]
+        ee, te = _dot(e, e), list(map(operator.mul, t, e))
+        a = _dot(e, y) / ee
+        c = _dot(e, te) / ee
+    except (OverflowError, ZeroDivisionError):
+        return (math.nan,) * 4
+    r = [yi - a * ei for yi, ei in zip(y, e)]
+    jac = [a * (u - c * ei) for u, ei in zip(te, e)]
+    return a, _dot(r, r), _dot(jac, r), _dot(jac, jac)
 
 
 def _seed_rate(t: np.ndarray, y: np.ndarray) -> float:
@@ -354,6 +408,77 @@ def _seed_rate(t: np.ndarray, y: np.ndarray) -> float:
     return float(k) if math.isfinite(k) else float(1.0 / np.ptp(t))
 
 
+def _seed_rate_floats(t: list[float], y: list[float]) -> float:
+    """`_seed_rate` on lists of Python floats, each sum by `_fsum`."""
+    tm, ly = zip(*[(ti, math.log(abs(yi))) for ti, yi in zip(t, y) if yi != 0.0])
+    k = math.nan
+    if min(tm) < max(tm):
+        t_mean, ly_mean = _fsum(tm) / len(tm), _fsum(ly) / len(ly)
+        tc = [ti - t_mean for ti in tm]
+        tt = _dot(tc, tc)
+        k = -_dot(tc, [v - ly_mean for v in ly]) / tt if tt else math.nan
+    return k if math.isfinite(k) else 1.0 / (max(t) - min(t))
+
+
+def _minimize(kernel, k: float, t, y, norm: float) -> FitResult:
+    """The loop of `fit_monoexponential` from the seed rate k, where ``kernel(k, t, y)``
+    gives (A, r.r, g, c) at a rate k and ``norm`` is |y|."""
+    a, rr, grad, curv = kernel(k, t, y)
+    k_prev = grad_prev = None
+    for _ in range(_FIT_MAX_STEPS):
+        step = -grad / curv if curv else math.nan
+        if grad_prev is not None and grad * grad_prev < 0.0:
+            # the Gauss-Newton steps changed sign, so a minimum lies between
+            # the last two rates; the secant step of the gradient stays there
+            step = -grad * (k - k_prev) / (grad - grad_prev)
+        if not math.isfinite(step):
+            # the model no longer depends on k: every rate as extreme fits as well
+            return FitResult(math.nan, math.nan, math.sqrt(rr), False, "rate not identifiable")
+        k_prev, grad_prev = k, grad
+        for _ in range(_FIT_MAX_STEPS):
+            trial = kernel(k + step, t, y)
+            if trial[1] <= rr:
+                k, (a, rr, grad, curv) = k + step, trial
+                break
+            step /= 2
+        # a step too small to lower the residual leaves k at a minimum to round-off
+        if abs(step) <= _FIT_RTOL * abs(k):
+            break
+    else:
+        return FitResult(math.nan, math.nan, norm, False, "fit did not converge")
+    # k = 0 gives an infinite T, of k's sign as in IEEE division, flagged below
+    time_constant = 1.0 / k if k else math.copysign(math.inf, k)
+    ok = math.isfinite(time_constant) and time_constant > 0.0
+    return FitResult(float(a), time_constant, math.sqrt(rr), ok,
+                     "" if ok else "nonpositive time constant")
+
+
+def _columns(points: Sequence[tuple[float, float]]) -> tuple:
+    """The columns (t, y) of points, lists of Python floats for at most `_FLOAT_POINTS`
+    points and numpy arrays for more, and (min t, max t, min y, max y).  Raises ValueError
+    unless points are at least 3 pairs of finite numbers."""
+    try:  # anything but pairs of numbers fails below
+        t, y = zip(*points, strict=True)
+        if len(t) <= _FLOAT_POINTS:
+            t, y = list(map(float, t)), list(map(float, y))
+            finite, span = all(map(math.isfinite, t + y)), (min(t), max(t), min(y), max(y))
+        else:
+            import numpy as np
+
+            pts = np.array((t, y), dtype=float)
+            if pts.ndim != 2:  # entries that are sequences
+                raise ValueError
+            (t, y), finite = pts, np.isfinite(pts).all()
+            span = t.min(), t.max(), y.min(), y.max()
+    except (TypeError, ValueError):
+        t = ()
+    if len(t) < 3:
+        raise ValueError("need at least 3 (t, y) points")
+    if not finite:
+        raise ValueError("times and values must be finite")
+    return t, y, span
+
+
 def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
     """Least-squares fit of y = A*exp(-t/T), no offset term, by variable projection.
 
@@ -364,53 +489,23 @@ def fit_monoexponential(points: Sequence[tuple[float, float]]) -> FitResult:
     the secant step of the gradient replaces the Gauss-Newton one, which can
     overshoot on noisy data.  At least 3 finite (t, y) pairs with nonnegative times
     are required.
+
+    A curve of at most `_FLOAT_POINTS` points is fitted on Python floats, with math.exp
+    and dot products correctly rounded by math.fsum (Shewchuk 1997); a longer one on
+    numpy arrays, whose dot products numpy sums.
     """
+    t, y, (t_min, t_max, y_min, y_max) = _columns(points)
+    if t_min < 0.0:
+        raise ValueError("times must be nonnegative")
+    if y_max == y_min:
+        return FitResult(math.nan, math.nan, 0.0, ok=False, message="constant data")
+    floats = len(t) <= _FLOAT_POINTS
+    norm = math.sqrt(_dot(y, y) if floats else y @ y)  # |y|; np.linalg.norm's for arrays
+    if t_max == t_min:
+        return FitResult(math.nan, math.nan, norm, False, "all times are equal")
+    if floats:
+        return _minimize(_projected_fit_floats, _seed_rate_floats(t, y), t, y, norm)
     import numpy as np
 
-    try:  # the columns (t, y) of points that are pairs; anything else fails below
-        pts = np.array(tuple(zip(*points, strict=True)), dtype=float)
-    except (TypeError, ValueError):
-        pts = np.empty(0)
-    if pts.ndim != 2 or pts.shape[0] != 2 or pts.shape[1] < 3:
-        raise ValueError("need at least 3 (t, y) points")
-    if not np.isfinite(pts).all():
-        raise ValueError("times and values must be finite")
-    t, y = pts
-    if t.min() < 0.0:
-        raise ValueError("times must be nonnegative")
-    if y.max() == y.min():
-        return FitResult(np.nan, np.nan, 0.0, ok=False, message="constant data")
-    if t.max() == t.min():
-        return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False, "all times are equal")
-
     with np.errstate(all="ignore"):  # trial rates may overflow exp; halving rejects them
-        k = _seed_rate(t, y)  # growing data seed k < 0, flagged below
-        a, r, jac, rr = _projected_fit(k, t, y)
-        k_prev = grad_prev = None
-        for _ in range(_FIT_MAX_STEPS):
-            grad, jj = float(jac @ r), float(jac @ jac)  # grad: the exact gradient of |r|^2/2
-            step = -grad / jj if jj else math.nan
-            if grad_prev is not None and grad * grad_prev < 0.0:
-                # the Gauss-Newton steps changed sign, so a minimum lies between
-                # the last two rates; the secant step of the gradient stays there
-                step = -grad * (k - k_prev) / (grad - grad_prev)
-            if not math.isfinite(step):
-                # the model no longer depends on k: every rate as extreme fits as well
-                return FitResult(np.nan, np.nan, math.sqrt(rr), False, "rate not identifiable")
-            k_prev, grad_prev = k, grad
-            for _ in range(_FIT_MAX_STEPS):
-                trial = _projected_fit(k + step, t, y)
-                if trial[3] <= rr:
-                    k, (a, r, jac, rr) = k + step, trial
-                    break
-                step /= 2
-            # a step too small to lower the residual leaves k at a minimum to round-off
-            if abs(step) <= _FIT_RTOL * abs(k):
-                break
-        else:
-            return FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False,
-                             "fit did not converge")
-        time_constant = float(np.divide(1.0, k))  # k = 0 gives an infinite T, flagged below
-    ok = math.isfinite(time_constant) and time_constant > 0.0
-    return FitResult(float(a), time_constant, math.sqrt(rr), ok,
-                     "" if ok else "nonpositive time constant")
+        return _minimize(_projected_fit, _seed_rate(t, y), t, y, norm)

@@ -19,8 +19,8 @@ map once: it pumps, reads the signal and enhances, every state checked on the
 simplex.  Every reset is one expression in two decay factors (`_reset`): the
 ideal engine (`ideal_engine`) resets with Theta, the kinetic one
 (`kinetics.kinetic_engine`) with the relaxation map of a finite interval.  The
-engines run on Python floats, and on numpy arrays for a stack of intervals, so a
-scalar run imports no numpy.
+engines run on Python floats, and on numpy arrays for a stack of intervals; a list
+of intervals is pumped one at a time on floats, so only a stack imports numpy.
 Applied to thermal equilibrium the singlet order after n_p permutations is
 
     SO(n_p) = (-1)^n_p * (eps*sqrt(3)/4) * (1 - 3^-n_p)
@@ -50,7 +50,8 @@ import math
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .core import N_SO, N_ZO, POPULATION_TOL, PopulationVector, _Checked, measure_order
+from .core import (N_SO, N_ZO, POPULATION_TOL, PopulationVector, _check_populations, _Checked,
+                   measure_order)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -251,33 +252,42 @@ def _pump(n_p: int, a: float | np.ndarray, b: float | np.ndarray, s: float) -> l
     return out
 
 
-def check_simplex(states: list[tuple]) -> None:
-    """PopulationVector's checks on every pumped state, deviations from uniform (see
-    `_pump`); the first population vector to fail, in step order and then in C order
-    over a stack, raises its ValueError."""
+def check_simplex(*pumps: list[tuple]) -> None:
+    """PopulationVector's checks (`core._check_populations`) on every state of one pump or
+    more, deviations from uniform (see `_pump`); the first population vector to fail, in
+    step order, then in the order of the pumps and in C order over a stack, raises its
+    ValueError.  States of Python floats are checked without numpy."""
     # the pump fills its tail with a cycle's states, the same tuples again, so a state that
     # is the state a period back passes with it: only the states before that tail are checked
-    end = len(states)
-    period = next((p for p in range(1, end) if states[-1 - p] is states[-1]), end)
-    while end > period and states[end - 1] is states[end - 1 - period]:
-        end -= 1
+    ends = []
+    for states in pumps:
+        end = len(states)
+        period = next((p for p in range(1, end) if states[-1 - p] is states[-1]), end)
+        while end > period and states[end - 1] is states[end - 1 - period]:
+            end -= 1
+        ends.append(end)
     # a state with every population >= 0 and a sum within tol/2 of 1 passes whatever the
-    # round-off, and a nan fails the sum; only the other states go to PopulationVector.
-    # The states are screened 64 at a time, which bounds the memory of a stack's screen.
-    for i in range(0, end, 64):
-        block = states[i:min(i + 64, end)]
-        if isinstance(block[0][0], float):
-            rows = [d for d in block
-                    if not (min(d) >= -0.25 and abs(sum(d)) <= POPULATION_TOL / 2)]
-        else:
+    # round-off, and a nan fails the sum; only the other states go to the full checks.
+    # The states are screened 64 steps at a time, which bounds the memory of a stack's screen.
+    for i in range(0, max(ends, default=0), 64):
+        rows = []  # (step, pump, deviations) of each population vector the screen leaves
+        for n, (states, end) in enumerate(zip(pumps, ends)):
+            block = states[i:min(i + 64, end)]
+            if not block:
+                continue
+            if isinstance(block[0][0], float):
+                rows += [(k, n, d) for k, d in enumerate(block, i)
+                         if not (min(d) >= -0.25 and abs(sum(d)) <= POPULATION_TOL / 2)]
+                continue
             import numpy as np
 
             arr = np.array(block)  # axes: state, deviation, then those of the stack
             sums = arr[:, 0] + arr[:, 1] + arr[:, 2] + arr[:, 3]
-            ok = arr.min() >= -0.25 and abs(sums).max() <= POPULATION_TOL / 2
-            rows = [] if ok else np.moveaxis(arr, 1, -1).reshape(-1, 4)
-        for row in rows:
-            PopulationVector([0.25 + x for x in row])
+            if not (arr.min() >= -0.25 and abs(sums).max() <= POPULATION_TOL / 2):
+                rows += [(k, n, row) for k, state in enumerate(np.moveaxis(arr, 1, -1), i)
+                         for row in state.reshape(-1, 4).tolist()]
+        for _, _, row in sorted(rows, key=itemgetter(0, 1)):
+            _check_populations([0.25 + x for x in row])
 
 
 class _EngineFields(NamedTuple):
@@ -305,11 +315,16 @@ class PopulationEngine(_Checked, _EngineFields):
             raise ValueError(f"|eps| = {abs(eps)!r} < 2**-1018: eps/16 is not a normal float")
         return super().__new__(cls, eps, decay, ts)
 
-    def pump(self, n_p: int, tau: float | np.ndarray = 0.0) -> list[tuple]:
-        """`_pump` of n_p permutations from thermal, with resets of duration tau."""
-        states = _pump(n_p, *self.decay(tau), 0.25 * self.eps)
-        check_simplex(states)
-        return states
+    def pump(self, n_p: int, tau: float | np.ndarray | list[float] = 0.0) -> list:
+        """`_pump` of n_p permutations from thermal, with resets of duration tau: its list of
+        states for one interval or for an array of them, pumped as one stack.  A list of
+        intervals is pumped one at a time on Python floats, which is bit-equal to their
+        stack, and gives one list of states per interval; its states are checked in the
+        stack's order, step by step and then interval by interval."""
+        grid = isinstance(tau, list)
+        pumps = [_pump(n_p, *self.decay(t), 0.25 * self.eps) for t in (tau if grid else [tau])]
+        check_simplex(*pumps)
+        return pumps if grid else pumps[0]
 
     def signal(self, delta: tuple, tau_ev: float = 0.0) -> float | np.ndarray:
         """Signal of a pumped state (a float, or an array for a stack) after evolving for

@@ -3,6 +3,7 @@ import contextlib
 import io
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import singletcool
 from cli_contract import CASES, Result, misses, run_as_process, run_in_process, run_python
-from singletcool import coherent, protocol
+from singletcool import coherent, kinetics, protocol
 from singletcool.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -27,10 +28,11 @@ from singletcool.cli import (
 )
 
 COMMANDS = ["pump", "sweep-tau", "decay", "enhance", "coherent-check"]
-#: The contract's successful pump and enhance runs, in both modes, which run on Python
-#: floats alone.
+#: The contract's successful pump and enhance runs, in both modes, and all its sweep-tau and
+#: decay runs, failures included, which run on Python floats alone.
 POPULATION_CASES = [case for case in CASES
-                    if case.code == EXIT_OK and re.match(r"(pump|enhance) ", case.argv)]
+                    if re.match(r"(sweep-tau|decay) ", case.argv)
+                    or case.code == EXIT_OK and re.match(r"(pump|enhance) ", case.argv)]
 
 
 def run_cli(tmp_path, name, *args):
@@ -483,19 +485,26 @@ class TestEngineBoundary:
 
 class TestImportFootprint:
     def test_population_runs_import_no_numpy_dataclasses_or_inspect(self):
-        # each pump and enhance run, in a fresh interpreter, loads none of these modules
+        # each population run, in a fresh interpreter, loads none of these modules: every
+        # exit-0 pump and enhance row, and every sweep-tau and decay row, its config errors,
+        # a state off the simplex and an unallocatable pump included
         probe = (
             "import contextlib, io, sys\n"
             "from singletcool.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             "    code = main(sys.argv[1:])\n"
             "print(code, sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
         )
         modes = {"--mode ideal" in case.argv for case in POPULATION_CASES}
-        assert len(POPULATION_CASES) == 12 and modes == {True, False}
+        kinds = Counter((case.argv.split()[0], case.code) for case in POPULATION_CASES)
+        assert modes == {True, False}
+        assert kinds == {("pump", 0): 6, ("enhance", 0): 6, ("sweep-tau", 0): 3,
+                         ("sweep-tau", 1): 8, ("sweep-tau", 2): 2, ("decay", 0): 2,
+                         ("decay", 1): 4, ("decay", 2): 2}
         for case in POPULATION_CASES:
             proc = run_python("-c", probe, *case.argv.split())
-            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", ""), case.argv
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                0, f"{case.code} []\n", ""), case.argv
 
     @pytest.mark.parametrize("case", POPULATION_CASES,
                              ids=[case.argv for case in POPULATION_CASES])
@@ -504,6 +513,36 @@ class TestImportFootprint:
                 "from singletcool.cli import main; sys.exit(main(sys.argv[1:]))")
         blocked = run_python("-c", code, *case.argv.split())
         assert (blocked.returncode, blocked.stdout, blocked.stderr) == run_as_process(case.argv)
+
+    def test_a_grid_of_16_points_loads_no_numpy(self):
+        # sweep_tau, decay_curve and the fit of its curve, at the largest grid on floats
+        probe = (
+            "import sys\n"
+            "from singletcool import SpinSystemParams, decay_curve, fit_monoexponential, sweep_tau\n"
+            "grid, params = [10.0 * k for k in range(16)], SpinSystemParams()\n"
+            "sweep = sweep_tau(6, grid, params)\n"
+            "fit = fit_monoexponential(decay_curve(6, 28.0, grid, params))\n"
+            "print(len(sweep.points), fit.ok, 'numpy' in sys.modules)\n"
+        )
+        proc = run_python("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "16 True False\n", "")
+
+    def test_a_grid_of_17_points_runs_one_stacked_pump(self, monkeypatch):
+        pump = mock.Mock(wraps=protocol._pump)
+        fit = mock.Mock(wraps=kinetics._projected_fit)
+        monkeypatch.setattr(protocol, "_pump", pump)
+        monkeypatch.setattr(kinetics, "_projected_fit", fit)
+        params = singletcool.SpinSystemParams()
+        for n, pumps in ((16, 16), (17, 1)):
+            grid = [10.0 * k for k in range(n)]
+            pump.reset_mock()
+            fit.reset_mock()
+            kinetics.sweep_tau(6, grid, params)
+            assert pump.call_count == pumps
+            assert {np.shape(call.args[1]) for call in pump.call_args_list} == {
+                () if n == 16 else (17,)}
+            assert kinetics.fit_monoexponential(kinetics.decay_curve(6, 28.0, grid, params)).ok
+            assert fit.called == (n == 17)
 
     def test_kinetics_and_a_kinetic_pump_import_no_numpy(self):
         probe = (

@@ -587,6 +587,19 @@ class TestSweepTau:
         with pytest.raises(ValueError):
             sweep_tau(6, [float("nan")], default_params)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[[1.0], [2.0, 3.0]], [[5.0]], [[1.0, 2.0], [3.0, 4.0]], np.array([[1.0], [2.0]]),
+         [1.0, "x"], [1.0, None], 5.0],
+        ids=["ragged", "nested", "nested 2x2", "2-d array", "a string", "None", "a number"],
+    )
+    def test_a_malformed_grid_is_named(self, default_params, grid):
+        # not numpy's "setting an array element with a sequence", nor "strictly increasing"
+        with pytest.raises(ValueError, match=r"^tau_grid must be a sequence of numbers$"):
+            sweep_tau(6, grid, default_params)
+        with pytest.raises(ValueError, match=r"^tau_ev_grid must be a sequence of numbers$"):
+            decay_curve(6, 28.0, grid, default_params)
+
     @pytest.mark.parametrize("grid", [[-1.0], [-5.0, 0.0, 3.0], [0.0, 1.0, float("nan")]])
     def test_negative_or_nan_entry_rejected(self, default_params, grid):
         with pytest.raises(ValueError):
@@ -821,63 +834,83 @@ def polyfit_seed(t, y):
     return np.nan
 
 
+def float_seed(t, y):
+    """The fit's closed-form seed on Python floats, of the columns of a short curve."""
+    return kinetics._seed_rate_floats(t.tolist(), y.tolist())
+
+
 def reference_fit(points, seed=polyfit_seed):
     """Reference: the variable-projection fit as first written, seeded by ``seed`` (or by
     1/(t spread) where it is not finite), with its numpy-scalar Gauss-Newton/secant loop.
     The columns are contiguous, as in the fit: a dot product may round differently on a
-    strided view."""
+    strided view.  Its arithmetic is picked by length, as the fit's is: a curve of at most
+    `kinetics._FLOAT_POINTS` points takes math.exp and dot products summed by math.fsum,
+    with numpy's inf or nan where those raise; a longer one numpy's."""
     t, y = np.array(np.asarray(points, dtype=float).T, order="C")
+    if len(t) <= kinetics._FLOAT_POINTS:
+        def exp(x):
+            try:
+                return np.array([math.exp(v) for v in x.tolist()])
+            except OverflowError:
+                return np.exp(x)  # an inf, which makes the trial nan
+
+        def dot(u, v):
+            try:
+                return np.float64(math.fsum((u * v).tolist()))
+            except (OverflowError, ValueError):
+                return np.sum(u * v)  # an inf - inf, or a sum past float range
+    else:
+        exp, dot = np.exp, np.dot
+    norm_y = math.sqrt(dot(y, y))
     if np.ptp(y) == 0.0:
         return kinetics.FitResult(np.nan, np.nan, 0.0, ok=False, message="constant data")
     if np.ptp(t) == 0.0:
-        return kinetics.FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False,
-                                  "all times are equal")
+        return kinetics.FitResult(np.nan, np.nan, norm_y, False, "all times are equal")
     with np.errstate(all="ignore"):
         k = seed(t, y)
     if not np.isfinite(k):
         k = 1.0 / np.ptp(t)
 
     def projected(k):
-        e = np.exp(-k * t)
-        ee, te = e @ e, t * e
-        a = (e @ y) / ee
-        return a, y - a * e, a * (te - ((e @ te) / ee) * e)
+        e = exp(-k * t)
+        ee, te = dot(e, e), t * e
+        a = dot(e, y) / ee
+        return a, y - a * e, a * (te - (dot(e, te) / ee) * e)
 
     with np.errstate(all="ignore"):
         a, r, jac = projected(k)
         k_prev = grad_prev = None
         for _ in range(kinetics._FIT_MAX_STEPS):
-            grad = jac @ r
-            step = -grad / (jac @ jac)
+            grad = dot(jac, r)
+            step = -grad / dot(jac, jac)
             if grad_prev is not None and grad * grad_prev < 0.0:
                 step = -grad * (k - k_prev) / (grad - grad_prev)
             k_prev, grad_prev = k, grad
             for _ in range(kinetics._FIT_MAX_STEPS):
                 trial = projected(k + step)
-                if trial[1] @ trial[1] <= r @ r:
+                if dot(trial[1], trial[1]) <= dot(r, r):
                     k, (a, r, jac) = k + step, trial
                     break
                 step /= 2
             converged = abs(step) <= kinetics._FIT_RTOL * abs(k)
             if converged or not np.isfinite(step):
                 break
-        time_constant = float(1.0 / k)
+        time_constant = float(np.float64(1.0) / k)
     if not np.isfinite(step):
-        return kinetics.FitResult(np.nan, np.nan, float(np.linalg.norm(r)), False,
+        return kinetics.FitResult(np.nan, np.nan, math.sqrt(dot(r, r)), False,
                                   "rate not identifiable")
     if not converged:
-        return kinetics.FitResult(np.nan, np.nan, float(np.linalg.norm(y)), False,
-                                  "fit did not converge")
+        return kinetics.FitResult(np.nan, np.nan, norm_y, False, "fit did not converge")
     ok = bool(np.isfinite(time_constant) and time_constant > 0.0)
-    return kinetics.FitResult(float(a), time_constant, float(np.linalg.norm(r)), ok,
+    return kinetics.FitResult(float(a), time_constant, math.sqrt(dot(r, r)), ok,
                               "" if ok else "nonpositive time constant")
 
 
 @st.composite
-def decay_points(draw, noise=st.floats(0.0, 0.3)):
+def decay_points(draw, noise=st.floats(0.0, 0.3), count=st.integers(3, 320)):
     """+-A exp(-t/T) on 3-320 sorted-uniform or even times, with 0-30 % Gaussian noise."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(3, 320))
+    n = draw(count)
     t_max = draw(st.floats(1e-2, 1e4))
     if draw(st.booleans()):
         t = np.sort(rng.uniform(0.0, t_max, n))
@@ -1016,11 +1049,22 @@ class TestFitMonoexponential:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=decay_points())
     def test_loop_equals_the_reference_loop_from_the_same_seed(self, data):
-        # Python floats, one r.r per trial and the early exit change no bit of the loop
+        # Python floats, one r.r per trial and the early exit change no bit of the loop,
+        # on Python floats for a short curve and on numpy arrays for a long one
         t, y = data
         points = list(zip(t.tolist(), y.tolist()))
-        self._assert_close(fit_monoexponential(points),
-                           reference_fit(points, seed=kinetics._seed_rate), y, rel=0.0)
+        seed = float_seed if len(points) <= kinetics._FLOAT_POINTS else kinetics._seed_rate
+        self._assert_close(fit_monoexponential(points), reference_fit(points, seed=seed), y,
+                           rel=0.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=decay_points(count=st.integers(3, kinetics._FLOAT_POINTS)))
+    def test_short_loop_equals_the_reference_loop_from_the_same_seed(self, data):
+        # the float side of the fit, which decay_points reaches in ~4 % of its draws
+        t, y = data
+        points = list(zip(t.tolist(), y.tolist()))
+        self._assert_close(fit_monoexponential(points), reference_fit(points, seed=float_seed),
+                           y, rel=0.0)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=decay_points(noise=st.just(0.0)))
@@ -1040,7 +1084,7 @@ class TestFitMonoexponential:
     def test_seed_falls_back_where_the_log_line_is_undefined(self, t, y):
         # the mean of three 0.1 is not 0.1, so centring alone leaves a spurious slope
         t, y = np.array(t), np.array(y)
-        assert kinetics._seed_rate(t, y) == 1.0 / np.ptp(t)
+        assert kinetics._seed_rate(t, y) == float_seed(t, y) == 1.0 / np.ptp(t)
         points = list(zip(t.tolist(), y.tolist()))
         self._assert_close(fit_monoexponential(points), reference_fit(points), y, rel=1e-12)
 
@@ -1053,7 +1097,9 @@ class TestFitMonoexponential:
         slope = np.polyfit(t[nz], ly, 1)[0]
         # round-off in either slope scales with |log y| over the spread of times
         scale = max(abs(slope), np.abs(ly).max() / np.ptp(t[nz]))
-        assert abs(kinetics._seed_rate(t, y) - -slope) <= 1e-12 * scale
+        # the numpy seed of a long curve and the float seed of a short one, on every curve
+        for seed in (kinetics._seed_rate, float_seed):
+            assert abs(seed(t, y) - -slope) <= 1e-12 * scale
 
 
 class TestDetectionIdentities:
